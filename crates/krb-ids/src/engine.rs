@@ -15,11 +15,20 @@
 //! export). They never read the simulator's fault/origin metadata — an
 //! environment-duplicated datagram is indistinguishable from an
 //! attacker's replay on a real wire, and is reported as one.
+//!
+//! Cost: each wire hop is parsed once per event, whatever the number
+//! of detectors, into integer endpoints; `ip:port` strings are rendered
+//! only for an alert or an exact address matcher. The cut-paste window
+//! kernel (`index_windows`) makes one pass per message and allocates
+//! nothing per window.
 
 use crate::compile::{DetectorBody, DetectorSpec, Per};
-use crate::rules::MsgKind;
+use crate::rules::{Match, MsgKind};
 use krb_trace::{Event, EventKind, Subscription, Tracer, Value};
+use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 
 /// One detector finding. `evidence_seq` is the trace sequence number
 /// of the event that tripped the detector.
@@ -49,27 +58,60 @@ fn payload_id(bytes: &[u8]) -> (u64, u64) {
     (fnv64(0xcbf2_9ce4_8422_2325, bytes), fnv64(0x6c62_272e_07bb_0142, bytes))
 }
 
-/// Dotted-quad rendering of the packed address the wire events carry.
-fn fmt_ip(packed: u64) -> String {
-    let a = u32::try_from(packed).unwrap_or(u32::MAX);
+/// Dotted-quad rendering of a wire address.
+fn fmt_ip(a: u32) -> String {
     format!("{}.{}.{}.{}", (a >> 24) & 255, (a >> 16) & 255, (a >> 8) & 255, a & 255)
 }
 
-/// A wire hop as the sniffer sees it.
+/// A wire endpoint as detector state keys it: the packed address
+/// clamped to 32 bits (as its dotted quad renders it) and the port as
+/// carried. Two endpoints are equal exactly when their `ip:port`
+/// renderings are, so state keyed on them behaves as if keyed on the
+/// strings.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Endpoint {
+    addr: u32,
+    port: u64,
+}
+
+impl Endpoint {
+    fn new(addr: u64, port: u64) -> Endpoint {
+        Endpoint { addr: u32::try_from(addr).unwrap_or(u32::MAX), port }
+    }
+
+    /// The port as header matchers and `krb_ports` see it.
+    fn port16(self) -> u16 {
+        u16::try_from(self.port).unwrap_or(u16::MAX)
+    }
+}
+
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}", fmt_ip(self.addr), self.port)
+    }
+}
+
+/// Whether an address matcher accepts `addr`; only an exact matcher
+/// needs the dotted quad rendered.
+fn addr_accepts(m: &Match<String>, addr: u32) -> bool {
+    match m {
+        Match::Any => true,
+        Match::Exact(want) => *want == fmt_ip(addr),
+    }
+}
+
+/// A wire hop as the sniffer sees it, parsed once per event and shared
+/// by every detector.
 struct Hop<'a> {
     seq: u64,
     at_us: u64,
-    /// `ip:port` of the claimed source.
-    src: String,
-    src_addr: String,
-    src_port: u16,
-    /// `ip:port` of the destination.
-    dst: String,
-    dst_addr: String,
-    dst_port: u16,
+    src: Endpoint,
+    dst: Endpoint,
     dst_host: &'a str,
     req: bool,
     payload: &'a [u8],
+    /// [`payload_id`] of the payload.
+    id: (u64, u64),
     kind: Option<MsgKind>,
 }
 
@@ -78,35 +120,28 @@ impl<'a> Hop<'a> {
         if ev.kind != EventKind::WireHop {
             return None;
         }
-        let src_packed = ev.u64_field("src_addr")?;
-        let src_port = ev.u64_field("src_port")?;
-        let dst_packed = ev.u64_field("dst_addr")?;
-        let dst_port = ev.u64_field("dst_port")?;
+        let src = Endpoint::new(ev.u64_field("src_addr")?, ev.u64_field("src_port")?);
+        let dst = Endpoint::new(ev.u64_field("dst_addr")?, ev.u64_field("dst_port")?);
         let payload = ev.bytes_field("payload")?.as_slice();
-        let src_addr = fmt_ip(src_packed);
-        let dst_addr = fmt_ip(dst_packed);
         Some(Hop {
             seq: ev.seq,
             at_us: ev.at_us,
-            src: format!("{src_addr}:{src_port}"),
-            src_addr,
-            src_port: u16::try_from(src_port).unwrap_or(u16::MAX),
-            dst: format!("{dst_addr}:{dst_port}"),
-            dst_addr,
-            dst_port: u16::try_from(dst_port).unwrap_or(u16::MAX),
+            src,
+            dst,
             dst_host: ev.str_field("dst_host").unwrap_or("?"),
             req: ev.bool_field("req").unwrap_or(false),
             payload,
+            id: payload_id(payload),
             kind: MsgKind::sniff(payload),
         })
     }
 
     /// Whether this hop passes `spec`'s header matchers.
     fn matches(&self, spec: &DetectorSpec) -> bool {
-        spec.src_addr.accepts(&self.src_addr)
-            && spec.src_port.accepts(&self.src_port)
-            && spec.dst_addr.accepts(&self.dst_addr)
-            && spec.dst_port.accepts(&self.dst_port)
+        addr_accepts(&spec.src_addr, self.src.addr)
+            && spec.src_port.accepts(&self.src.port16())
+            && addr_accepts(&spec.dst_addr, self.dst.addr)
+            && spec.dst_port.accepts(&self.dst.port16())
     }
 
     fn kind_name(&self) -> &'static str {
@@ -115,7 +150,7 @@ impl<'a> Hop<'a> {
 }
 
 /// Where a ciphertext window was first seen.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum WinOrigin {
     /// In a reply; the value is the evidence sequence number.
     Reply { seq: u64 },
@@ -124,22 +159,28 @@ enum WinOrigin {
     /// source re-uses it. `src` is the endpoint that first presented
     /// the material — its own retransmissions and its next tickets
     /// (which share deterministic-seal prefixes) are not theft.
-    Request { seq: u64, dst_port: u16, src: String },
+    Request { seq: u64, dst_port: u16, src: Endpoint },
 }
+
+/// A sliding preauth-storm window: event times, and the alerted latch.
+type Burst = (VecDeque<u64>, bool);
 
 /// Per-detector mutable state.
 #[derive(Debug, Default)]
 struct DetectorState {
     /// replay / crash-reuse: (src, dst, payload-id) -> first-seen time.
-    first_sight: BTreeMap<(String, String, u64, u64), u64>,
-    /// cut-paste: 16-byte window -> first origin (first-source-wins).
-    windows: BTreeMap<[u8; 16], WinOrigin>,
+    first_sight: BTreeMap<(Endpoint, Endpoint, u64, u64), u64>,
+    /// cut-paste: 16-byte window, read as an integer -> first origin
+    /// (first-source-wins).
+    windows: BTreeMap<u128, WinOrigin>,
     /// cut-paste: full-payload ids seen anywhere, any direction.
     payloads_seen: BTreeSet<(u64, u64)>,
     /// cut-paste: (dst, payload-id) -> first source endpoint.
-    stream_first: BTreeMap<(String, u64, u64), String>,
-    /// preauth-storm: key -> (event times in window, alerted latch).
-    storm: BTreeMap<String, (VecDeque<u64>, bool)>,
+    stream_first: BTreeMap<(Endpoint, u64, u64), Endpoint>,
+    /// preauth-storm per source endpoint.
+    src_storm: BTreeMap<Endpoint, Burst>,
+    /// preauth-storm per client principal.
+    principal_storm: BTreeMap<String, Burst>,
     /// crash-reuse: host name -> last restart time.
     restarts: BTreeMap<String, u64>,
 }
@@ -192,20 +233,23 @@ impl Engine {
         let Some(sub) = &self.sub else { return 0 };
         let events = sub.drain();
         let mut fresh: Vec<Alert> = Vec::new();
+        let mut observed = 0u64;
         for ev in &events {
             // The engine's own alert events come back around the tap.
             if ev.kind == EventKind::IdsAlert {
                 continue;
             }
-            self.events_seen += 1;
+            observed += 1;
+            let hop = Hop::from_event(ev);
             for d in &mut self.detectors {
-                observe(&d.spec, &mut d.state, ev, &mut fresh);
+                observe(&d.spec, &mut d.state, ev, hop.as_ref(), &mut fresh);
             }
         }
+        self.events_seen += observed;
         let raised = fresh.len();
         if let Some(t) = &self.tracer {
-            if !events.is_empty() {
-                t.counter("ids.events", "engine", events.len() as u64);
+            if observed > 0 {
+                t.counter("ids.events", "engine", observed);
             }
             for a in &fresh {
                 t.counter("ids.alerts", a.detector, 1);
@@ -242,39 +286,45 @@ impl Engine {
     }
 }
 
-/// Routes one event into one detector.
-fn observe(spec: &DetectorSpec, state: &mut DetectorState, ev: &Event, out: &mut Vec<Alert>) {
+/// Routes one event, and its parsed wire hop if it is one, into one
+/// detector.
+fn observe(
+    spec: &DetectorSpec,
+    state: &mut DetectorState,
+    ev: &Event,
+    hop: Option<&Hop<'_>>,
+    out: &mut Vec<Alert>,
+) {
+    let hop = hop.filter(|h| h.matches(spec));
     match &spec.body {
         DetectorBody::Replay { window_us, kinds } => {
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_replay(spec, state, &hop, *window_us, kinds, out);
+            if let Some(hop) = hop {
+                observe_replay(spec, state, hop, *window_us, kinds, out);
             }
         }
         DetectorBody::ClockSpoof { tolerance_us } => {
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_clock(spec, &hop, *tolerance_us, out);
+            if let Some(hop) = hop {
+                observe_clock(spec, hop, *tolerance_us, out);
             }
         }
         DetectorBody::CutPaste { krb_ports, min_run, min_stolen } => {
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_cut_paste(spec, state, &hop, krb_ports, *min_run, *min_stolen, out);
+            if let Some(hop) = hop {
+                observe_cut_paste(spec, state, hop, krb_ports, *min_run, *min_stolen, out);
             }
         }
         DetectorBody::PreauthStorm { window_us, threshold, per } => match per {
             Per::Src => {
-                if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                    if hop.req && hop.kind == Some(MsgKind::AsReq) {
-                        observe_storm(
-                            spec,
-                            state,
-                            hop.src.clone(),
-                            hop.at_us,
-                            hop.seq,
-                            *window_us,
-                            *threshold,
-                            out,
-                        );
-                    }
+                if let Some(hop) = hop.filter(|h| h.req && h.kind == Some(MsgKind::AsReq)) {
+                    observe_storm(
+                        spec,
+                        &mut state.src_storm,
+                        hop.src,
+                        hop.at_us,
+                        hop.seq,
+                        *window_us,
+                        *threshold,
+                        out,
+                    );
                 }
             }
             Per::Principal => {
@@ -282,7 +332,7 @@ fn observe(spec: &DetectorSpec, state: &mut DetectorState, ev: &Event, out: &mut
                     if let Some(client) = ev.str_field("client") {
                         observe_storm(
                             spec,
-                            state,
+                            &mut state.principal_storm,
                             client.to_string(),
                             ev.at_us,
                             ev.seq,
@@ -301,8 +351,8 @@ fn observe(spec: &DetectorSpec, state: &mut DetectorState, ev: &Event, out: &mut
                 }
                 return;
             }
-            if let Some(hop) = Hop::from_event(ev).filter(|h| h.matches(spec)) {
-                observe_crash_reuse(spec, state, &hop, *window_us, out);
+            if let Some(hop) = hop {
+                observe_crash_reuse(spec, state, hop, *window_us, out);
             }
         }
     }
@@ -341,16 +391,14 @@ fn observe_replay(
     if !kinds.contains(&kind) {
         return;
     }
-    let (h1, h2) = payload_id(hop.payload);
-    let sight = (hop.src.clone(), hop.dst.clone(), h1, h2);
-    match state.first_sight.get(&sight) {
-        Some(&t0) if hop.at_us.saturating_sub(t0) <= window_us => {
-            let dt = hop.at_us.saturating_sub(t0);
+    match state.first_sight.entry((hop.src, hop.dst, hop.id.0, hop.id.1)) {
+        Entry::Occupied(first) if hop.at_us.saturating_sub(*first.get()) <= window_us => {
+            let dt = hop.at_us.saturating_sub(*first.get());
             push_alert(
                 spec,
                 out,
                 hop.at_us,
-                hop.src.clone(),
+                hop.src.to_string(),
                 format!(
                     "identical {} to {} re-sent {}.{:06}s after first sight",
                     kind.name(),
@@ -361,9 +409,9 @@ fn observe_replay(
                 hop.seq,
             );
         }
-        Some(_) => {}
-        None => {
-            state.first_sight.insert(sight, hop.at_us);
+        Entry::Occupied(_) => {}
+        Entry::Vacant(slot) => {
+            slot.insert(hop.at_us);
         }
     }
 }
@@ -382,7 +430,7 @@ fn observe_clock(spec: &DetectorSpec, hop: &Hop<'_>, tolerance_us: u64, out: &mu
             spec,
             out,
             hop.at_us,
-            hop.src.clone(),
+            hop.src.to_string(),
             format!(
                 "time reply claims {claimed_s}s but arrived at {}s ({}s apart)",
                 hop.at_us / 1_000_000,
@@ -407,139 +455,188 @@ fn observe_cut_paste(
     if hop.payload.len() < min_run.max(16) {
         return;
     }
-    let id = payload_id(hop.payload);
-    let exact_copy = state.payloads_seen.contains(&id);
-
-    if hop.req && exact_copy {
+    let stream = (hop.dst, hop.id.0, hop.id.1);
+    if state.payloads_seen.contains(&hop.id) {
         // Exact bytes seen before. Same stream (same src): that is the
         // replay detector's case. Different src to the same
         // destination: a whole sealed message cut-and-pasted across
-        // streams.
-        let stream = (hop.dst.clone(), id.0, id.1);
-        if let Some(first_src) = state.stream_first.get(&stream) {
-            let spliceable = matches!(
-                hop.kind,
-                Some(MsgKind::ApReq | MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp)
-            );
-            if spliceable && first_src != &hop.src {
+        // streams. Copies are never re-indexed (first-source-wins).
+        let spliceable = matches!(
+            hop.kind,
+            Some(MsgKind::ApReq | MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp)
+        );
+        match state.stream_first.get(&stream) {
+            Some(&first_src) if hop.req && spliceable && first_src != hop.src => {
                 let detail = format!(
                     "sealed {} first sent by {first_src} re-sent to {} from {}",
                     hop.kind_name(),
                     hop.dst,
                     hop.src
                 );
-                push_alert(spec, out, hop.at_us, hop.src.clone(), detail, hop.seq);
+                push_alert(spec, out, hop.at_us, hop.src.to_string(), detail, hop.seq);
             }
+            _ => {}
         }
-    } else if hop.req {
-        // Fresh request bytes: scan for re-surfacing ciphertext
-        // windows from earlier messages. Request-origin matches count
-        // per source message: deterministic seals (v4-style, no
-        // confounder) make honest messages share envelope bytes and
-        // leading ciphertext blocks, so only a *long* run of someone
-        // else's material — `min_stolen` windows from one foreign,
-        // non-KDC-bound request — is evidence of theft.
-        let mut reply_sources: BTreeSet<u64> = BTreeSet::new();
-        let mut stolen_counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for win in hop.payload.windows(16) {
-            let Ok(arr) = <[u8; 16]>::try_from(win) else { continue };
-            if !lively(&arr) {
-                continue;
-            }
-            match state.windows.get(&arr) {
-                Some(WinOrigin::Reply { seq }) => {
-                    reply_sources.insert(*seq);
-                }
-                Some(WinOrigin::Request { seq, dst_port, src })
-                    if !krb_ports.contains(dst_port) && *src != hop.src =>
-                {
-                    *stolen_counts.entry(*seq).or_default() += 1;
-                }
-                Some(WinOrigin::Request { .. }) | None => {}
-            }
-        }
-        // Deterministic best pick: highest count, then earliest source.
-        let request_source = stolen_counts
-            .iter()
-            .filter(|(_, &n)| n >= min_stolen)
-            .max_by_key(|(&seq, &n)| (n, std::cmp::Reverse(seq)))
-            .map(|(&seq, &n)| (seq, n));
-        let ticket_bearing = matches!(hop.kind, Some(MsgKind::TgsReq | MsgKind::ApReq));
-        let sealed_session =
-            matches!(hop.kind, Some(MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp));
-        if ticket_bearing && reply_sources.len() >= 2 {
-            let srcs: Vec<String> = reply_sources.iter().map(|s| format!("#{s}")).collect();
-            push_alert(
-                spec,
-                out,
-                hop.at_us,
-                hop.src.clone(),
-                format!(
-                    "{} to {} splices ciphertext from {} distinct KDC replies ({})",
-                    hop.kind_name(),
-                    hop.dst,
-                    reply_sources.len(),
-                    srcs.join(", ")
-                ),
-                hop.seq,
-            );
-        } else if sealed_session && !reply_sources.is_empty() {
-            let first = reply_sources.iter().next().copied().unwrap_or(0);
-            push_alert(
-                spec,
-                out,
-                hop.at_us,
-                hop.src.clone(),
-                format!("{} to {} echoes ciphertext from reply #{first}", hop.kind_name(), hop.dst),
-                hop.seq,
-            );
-        } else if let Some((seq, n)) = request_source {
-            push_alert(
-                spec,
-                out,
-                hop.at_us,
-                hop.src.clone(),
-                format!(
-                    "message from {} to {} re-uses {n} ciphertext windows of another \
-                     endpoint's session material (request #{seq})",
-                    hop.src, hop.dst
-                ),
-                hop.seq,
-            );
-        }
+        return;
     }
 
-    // Index this message (first-source-wins per window, so later
-    // copies — faulted duplicates, legitimate echoes — never
-    // re-attribute a window).
-    if !exact_copy {
-        state.payloads_seen.insert(id);
-        if hop.req {
-            state
-                .stream_first
-                .entry((hop.dst.clone(), id.0, id.1))
-                .or_insert_with(|| hop.src.clone());
-        }
-        for win in hop.payload.windows(16) {
+    // Fresh bytes: index them and, for a request, collect in the same
+    // pass the earlier origins of its ciphertext windows. Request-
+    // origin matches count per source message: deterministic seals
+    // (v4-style, no confounder) make honest messages share envelope
+    // bytes and leading ciphertext blocks, so only a *long* run of
+    // someone else's material — `min_stolen` windows from one foreign,
+    // non-KDC-bound request — is evidence of theft.
+    state.payloads_seen.insert(hop.id);
+    let origin = if hop.req {
+        state.stream_first.entry(stream).or_insert(hop.src);
+        WinOrigin::Request { seq: hop.seq, dst_port: hop.dst.port16(), src: hop.src }
+    } else {
+        WinOrigin::Reply { seq: hop.seq }
+    };
+    let mut reply_sources: BTreeSet<u64> = BTreeSet::new();
+    let mut stolen_counts: BTreeMap<u64, usize> = BTreeMap::new();
+    index_windows(
+        &mut state.windows,
+        hop.payload,
+        origin,
+        krb_ports,
+        &mut reply_sources,
+        &mut stolen_counts,
+    );
+    if !hop.req {
+        return;
+    }
+    // Deterministic best pick: highest count, then earliest source.
+    let request_source = stolen_counts
+        .iter()
+        .filter(|(_, &n)| n >= min_stolen)
+        .max_by_key(|(&seq, &n)| (n, Reverse(seq)))
+        .map(|(&seq, &n)| (seq, n));
+    let ticket_bearing = matches!(hop.kind, Some(MsgKind::TgsReq | MsgKind::ApReq));
+    let sealed_session =
+        matches!(hop.kind, Some(MsgKind::Safe | MsgKind::Priv | MsgKind::ChallengeResp));
+    if ticket_bearing && reply_sources.len() >= 2 {
+        let srcs: Vec<String> = reply_sources.iter().map(|s| format!("#{s}")).collect();
+        push_alert(
+            spec,
+            out,
+            hop.at_us,
+            hop.src.to_string(),
+            format!(
+                "{} to {} splices ciphertext from {} distinct KDC replies ({})",
+                hop.kind_name(),
+                hop.dst,
+                reply_sources.len(),
+                srcs.join(", ")
+            ),
+            hop.seq,
+        );
+    } else if sealed_session && !reply_sources.is_empty() {
+        let first = reply_sources.iter().next().copied().unwrap_or(0);
+        push_alert(
+            spec,
+            out,
+            hop.at_us,
+            hop.src.to_string(),
+            format!("{} to {} echoes ciphertext from reply #{first}", hop.kind_name(), hop.dst),
+            hop.seq,
+        );
+    } else if let Some((seq, n)) = request_source {
+        push_alert(
+            spec,
+            out,
+            hop.at_us,
+            hop.src.to_string(),
+            format!(
+                "message from {} to {} re-uses {n} ciphertext windows of another \
+                 endpoint's session material (request #{seq})",
+                hop.src, hop.dst
+            ),
+            hop.seq,
+        );
+    }
+}
+
+/// Distinct-byte count of a sliding window, updated in O(1) per byte.
+struct Distinct {
+    counts: [u8; 256],
+    n: u32,
+}
+
+impl Distinct {
+    fn enter(&mut self, b: u8) {
+        let c = &mut self.counts[usize::from(b)];
+        self.n += u32::from(*c == 0);
+        *c += 1;
+    }
+
+    fn leave(&mut self, b: u8) {
+        let c = &mut self.counts[usize::from(b)];
+        *c -= 1;
+        self.n -= u32::from(*c == 0);
+    }
+}
+
+/// The cut-paste window kernel: one pass over `payload`'s 16-byte
+/// windows. Windows with fewer than 4 distinct bytes (padding, zero
+/// runs) carry no identity and are skipped, tested in O(1) per byte by
+/// a sliding byte count. Each other window costs one map entry: a new
+/// window is indexed under `origin` (first-source-wins, so later copies
+/// — faulted duplicates, legitimate echoes — never re-attribute it); a
+/// known one, when `origin` is a request, is counted: a reply origin's
+/// seq into `reply_sources`, a foreign, splice-sensitive request
+/// origin's window into `stolen_counts`. A window repeated inside the
+/// same request resolves to that request's own source and is ignored,
+/// as a scan ahead of indexing would ignore it. Nothing is allocated
+/// per window beyond the index's own node growth.
+fn index_windows(
+    windows: &mut BTreeMap<u128, WinOrigin>,
+    payload: &[u8],
+    origin: WinOrigin,
+    krb_ports: &[u16],
+    reply_sources: &mut BTreeSet<u64>,
+    stolen_counts: &mut BTreeMap<u64, usize>,
+) {
+    let Some(head) = payload.get(..15) else { return };
+    let mut live = Distinct { counts: [0; 256], n: 0 };
+    for &b in head {
+        live.enter(b);
+    }
+    for win in payload.windows(16) {
+        live.enter(win[15]);
+        if live.n >= 4 {
             let Ok(arr) = <[u8; 16]>::try_from(win) else { continue };
-            if !lively(&arr) {
-                continue;
+            match windows.entry(u128::from_le_bytes(arr)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(origin);
+                }
+                Entry::Occupied(seen) => {
+                    if let WinOrigin::Request { src: me, .. } = origin {
+                        match *seen.get() {
+                            WinOrigin::Reply { seq } => {
+                                reply_sources.insert(seq);
+                            }
+                            WinOrigin::Request { seq, dst_port, src }
+                                if src != me && !krb_ports.contains(&dst_port) =>
+                            {
+                                *stolen_counts.entry(seq).or_default() += 1;
+                            }
+                            WinOrigin::Request { .. } => {}
+                        }
+                    }
+                }
             }
-            let origin = if hop.req {
-                WinOrigin::Request { seq: hop.seq, dst_port: hop.dst_port, src: hop.src.clone() }
-            } else {
-                WinOrigin::Reply { seq: hop.seq }
-            };
-            state.windows.entry(arr).or_insert(origin);
         }
+        live.leave(win[0]);
     }
 }
 
 #[allow(clippy::too_many_arguments)]
-fn observe_storm(
+fn observe_storm<K: Ord + Clone + fmt::Display>(
     spec: &DetectorSpec,
-    state: &mut DetectorState,
-    subject: String,
+    storm: &mut BTreeMap<K, Burst>,
+    subject: K,
     at_us: u64,
     seq: u64,
     window_us: u64,
@@ -547,7 +644,7 @@ fn observe_storm(
     out: &mut Vec<Alert>,
 ) {
     let fire = {
-        let (times, alerted) = state.storm.entry(subject.clone()).or_default();
+        let (times, alerted) = storm.entry(subject.clone()).or_default();
         times.push_back(at_us);
         while times.front().is_some_and(|&t| at_us.saturating_sub(t) > window_us) {
             times.pop_front();
@@ -564,7 +661,7 @@ fn observe_storm(
     };
     if let Some(n) = fire {
         let detail = format!("{}: {n} events inside {}s window", spec.msg, window_us / 1_000_000);
-        push_alert(spec, out, at_us, subject, detail, seq);
+        push_alert(spec, out, at_us, subject.to_string(), detail, seq);
     }
 }
 
@@ -578,8 +675,7 @@ fn observe_crash_reuse(
     if !hop.req || !matches!(hop.kind, Some(MsgKind::ApReq | MsgKind::ChallengeResp)) {
         return;
     }
-    let (h1, h2) = payload_id(hop.payload);
-    let sight = (hop.src.clone(), hop.dst.clone(), h1, h2);
+    let sight = (hop.src, hop.dst, hop.id.0, hop.id.1);
     if let Some(&t0) = state.first_sight.get(&sight) {
         if let Some(&restarted) = state.restarts.get(hop.dst_host) {
             if t0 < restarted
@@ -590,7 +686,7 @@ fn observe_crash_reuse(
                     spec,
                     out,
                     hop.at_us,
-                    hop.src.clone(),
+                    hop.src.to_string(),
                     format!(
                         "authenticator first seen at {}s re-presented to {} {}s after its restart",
                         t0 / 1_000_000,
@@ -604,16 +700,6 @@ fn observe_crash_reuse(
         }
     }
     state.first_sight.entry(sight).or_insert(hop.at_us);
-}
-
-/// Entropy screen for 16-byte windows: padding and zero runs carry no
-/// identity, so they neither index nor match.
-fn lively(win: &[u8; 16]) -> bool {
-    let mut distinct: BTreeSet<u8> = BTreeSet::new();
-    for &b in win {
-        distinct.insert(b);
-    }
-    distinct.len() >= 4
 }
 
 #[cfg(test)]
@@ -949,5 +1035,42 @@ mod tests {
         eng.poll();
         eng.poll();
         assert_eq!(eng.alerts().len(), n);
+    }
+
+    #[test]
+    fn events_counter_skips_the_engines_own_alerts() {
+        let t = Tracer::new();
+        let mut eng = default_engine().unwrap();
+        eng.attach(&t);
+        let ap = sealed(5, 7);
+        hop(&t, 1_000_000, (10, 1024), (20, 2001), "files", true, ap.clone());
+        hop(&t, 2_000_000, (10, 1024), (20, 2001), "files", true, ap);
+        eng.poll();
+        assert_eq!(eng.alerts().len(), 1);
+        // The second poll drains only the alert event the first emitted.
+        eng.poll();
+        assert_eq!(eng.events_seen(), 2);
+        assert_eq!(t.snapshot()["ids.events{engine}"], eng.events_seen());
+    }
+
+    #[test]
+    fn endpoints_key_as_their_renderings_do() {
+        // Addresses past 32 bits render as 255.255.255.255, so they are
+        // one source; ports render as carried, so 65536 is not 65535.
+        let t = Tracer::new();
+        let mut eng = default_engine().unwrap();
+        eng.attach(&t);
+        let ap = sealed(5, 9);
+        hop(&t, 1_000_000, (1 << 32, 65_536), (20, 2001), "files", true, ap.clone());
+        hop(&t, 2_000_000, (u64::MAX, 65_536), (20, 2001), "files", true, ap.clone());
+        hop(&t, 3_000_000, (u64::MAX, 65_535), (20, 2001), "files", true, ap);
+        eng.poll();
+        let subjects: Vec<(&str, &str)> =
+            eng.alerts().iter().map(|a| (a.detector, a.subject.as_str())).collect();
+        assert_eq!(
+            subjects,
+            [("replay", "255.255.255.255:65536"), ("cut-paste", "255.255.255.255:65535")]
+        );
+        assert!(eng.alerts()[1].detail.contains("first sent by 255.255.255.255:65536"));
     }
 }

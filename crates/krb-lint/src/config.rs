@@ -100,6 +100,7 @@ pub const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("krb-crypto", "decrypt_block"),
     ("krb-crypto", "feistel"),
     ("krb-gateway", "handle"),
+    ("krb-ids", "index_windows"),
 ];
 
 /// Allocating method calls A001 flags inside a hot-path function.

@@ -467,6 +467,27 @@ mod tests {
     }
 
     #[test]
+    fn a001_guards_the_ids_window_kernel() {
+        // A per-window allocation in the krb-ids cut-paste kernel (here
+        // a fresh distinct-byte set per 16-byte window) is a finding.
+        let src = r#"
+            fn index_windows(state: &mut DetectorState, payload: &[u8]) {
+                for win in payload.windows(16) {
+                    let mut distinct: BTreeSet<u8> = BTreeSet::new();
+                    for &b in win {
+                        distinct.insert(b);
+                    }
+                }
+            }
+        "#;
+        let f = run(&[("crates/krb-ids/src/engine.rs", "krb-ids", src)], None);
+        let a: Vec<_> = f.iter().filter(|x| x.rule == Rule::A001).collect();
+        assert_eq!(a.len(), 1, "{f:#?}");
+        assert!(a[0].message.contains("BTreeSet::new()"));
+        assert!(a[0].message.contains("index_windows"));
+    }
+
+    #[test]
     fn e001_reports_drift_both_ways() {
         let src = r#"fn report(&self) { self.trace.counter("kdc.issued", scope, 1);
                      self.trace.counter("kdc.unlisted", scope, 1); }"#;

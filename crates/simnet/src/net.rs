@@ -451,7 +451,12 @@ impl Network {
             }
         };
         let dst_host = host_name(dgram.dst.addr);
-        let mut fields = vec![
+        // Sized exactly: every hop's fields stay in the trace ring, and
+        // a `vec!` of the eight fixed fields would reallocate to 16 on
+        // the first push. Field order is the JSONL order.
+        let extra = usize::from(fault.is_some()) + usize::from(parent.is_some());
+        let mut fields = Vec::with_capacity(9 + extra);
+        fields.extend([
             ("src_host", Value::str(host_name(dgram.src.addr))),
             ("src_addr", Value::U64(dgram.src.addr.0 as u64)),
             ("src_port", Value::U64(dgram.src.port as u64)),
@@ -460,7 +465,7 @@ impl Network {
             ("dst_port", Value::U64(dgram.dst.port as u64)),
             ("req", Value::Bool(is_request)),
             ("origin", Value::str(origin)),
-        ];
+        ]);
         if let Some(k) = fault {
             fields.push(("fault", Value::str(k.label())));
         }

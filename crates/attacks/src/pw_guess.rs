@@ -10,18 +10,23 @@
 //! Defeated by preauthentication (and slowed by rate limiting).
 
 use crate::env::AttackEnv;
-use crate::workload::guess_list;
+use crate::workload::guesses;
 use crate::{Attack, AttackReport};
 use kerberos::encoding::MsgType;
-use kerberos::kdc::hha_key;
+use kerberos::kdc::hha_key_with;
 use kerberos::messages::{deframe, AsRep, AsReq, EncKdcRepPart, KrbErrorMsg, WireKind};
 use kerberos::{Principal, ProtocolConfig};
+use krb_crypto::des::ScheduledKey;
 use krb_crypto::s2k;
 
 /// Attempts to confirm a password guess against a recorded (or
 /// harvested) AS reply sealed under `K_c` or `{R}K_c`.
 ///
-/// Returns the recovered password if any guess verifies.
+/// Returns the recovered password if any guess verifies. Each guess is
+/// screened on the reply's first body block: a wrong key almost always
+/// breaks a length word or the envelope header there, and a guess that
+/// passes takes the full open, decode and sanity screen, so the result
+/// is the one the full path alone would give.
 pub fn crack_as_reply(
     config: &ProtocolConfig,
     client: &Principal,
@@ -29,13 +34,22 @@ pub fn crack_as_reply(
     challenge_r: Option<u64>,
     guesses: &[String],
 ) -> Option<String> {
+    let salt = client.salt();
+    let mut deriver = s2k::Deriver::new();
+    let mut pt = Vec::new();
     for guess in guesses {
-        let kc = s2k::string_to_key_v5(guess, &client.salt());
+        let kc = ScheduledKey::new(deriver.derive(guess, &salt));
         let key = match challenge_r {
-            Some(r) => hha_key(&kc, r),
+            Some(r) => ScheduledKey::new(hha_key_with(&kc, r)),
             None => kc,
         };
-        let Ok(pt) = config.ticket_layer.open(&key, 0, enc_part) else { continue };
+        let Ok(head) = config.ticket_layer.open_head(&key, 0, enc_part) else { continue };
+        if config.codec.check_envelope(MsgType::EncAsRepPart, head.bytes(), head.len).is_err() {
+            continue;
+        }
+        if config.ticket_layer.open_into(&key, 0, enc_part, &mut pt).is_err() {
+            continue;
+        }
         let Ok(part) = EncKdcRepPart::decode(config.codec, MsgType::EncAsRepPart, &pt) else {
             continue;
         };
@@ -114,7 +128,7 @@ impl Attack for PassiveGuessing {
             return report(false, "no AS reply captured".into());
         };
 
-        match crack_as_reply(config, &sam, &enc_part, challenge_r, &guess_list()) {
+        match crack_as_reply(config, &sam, &enc_part, challenge_r, guesses()) {
             Some(pw) => report(true, format!("recovered sam's password {pw:?} from the wiretap")),
             None => report(false, "no dictionary guess verified".into()),
         }
@@ -207,7 +221,7 @@ impl Attack for ActiveHarvest {
             _ => rep.enc_part.clone(),
         };
 
-        match crack_as_reply(config, &sam, &enc_part, rep.challenge_r, &guess_list()) {
+        match crack_as_reply(config, &sam, &enc_part, rep.challenge_r, guesses()) {
             Some(pw) => {
                 report(true, format!("harvested {{...}}K_sam without eavesdropping; cracked {pw:?}"))
             }
@@ -278,6 +292,6 @@ mod tests {
             })
             .map(|r| AsRep::decode(config.codec, &r.dgram.payload).unwrap())
             .unwrap();
-        assert!(crack_as_reply(&config, &pat, &rep.enc_part, None, &guess_list()).is_none());
+        assert!(crack_as_reply(&config, &pat, &rep.enc_part, None, guesses()).is_none());
     }
 }

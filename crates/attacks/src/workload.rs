@@ -10,6 +10,7 @@
 //! generated population — and therefore every attack campaign built on
 //! one — is replayable from a single printed seed.
 
+use std::sync::OnceLock;
 use testkit::TestRng;
 
 /// The attacker's base dictionary: common words and names of the era.
@@ -131,6 +132,16 @@ pub fn generate_population(
 /// The attacker's guess list: the dictionary plus standard mutations —
 /// what a 1990 cracker actually tried.
 pub fn guess_list() -> Vec<String> {
+    guesses().to_vec()
+}
+
+/// [`guess_list`], built once per process and shared.
+pub fn guesses() -> &'static [String] {
+    static GUESSES: OnceLock<Vec<String>> = OnceLock::new();
+    GUESSES.get_or_init(build_guess_list)
+}
+
+fn build_guess_list() -> Vec<String> {
     let mut v = Vec::with_capacity(DICTIONARY.len() * 13);
     for w in DICTIONARY {
         v.push(w.to_string());

@@ -53,6 +53,16 @@ fn a1_v4_trace_matches_golden() {
     );
 }
 
+/// The pinned trace's size in the tracer ring's encoding, exactly: a
+/// record-format change that grows events fails here. E15 reports the
+/// same measure per preset as `ring_bytes.*`.
+#[test]
+fn a1_v4_ring_bytes_are_pinned() {
+    let tracer = a1_tracer(None);
+    assert_eq!(tracer.events().len(), 22);
+    assert_eq!(tracer.ring_bytes(), 2824);
+}
+
 #[test]
 fn same_seed_runs_are_byte_identical() {
     let a = to_jsonl(&a1_tracer(None).events());

@@ -89,7 +89,12 @@ fn main() {
         for (client, enc, r, class) in &harvested {
             let (found, us) = time_us(|| crack_as_reply(&config, client, enc, *r, &guesses));
             guess_time_total += us;
-            guess_count += guesses.len().min(3000);
+            // The loop stops at the hit, so it tried the guesses up to
+            // and including it, or every guess when none matched.
+            guess_count += found
+                .as_ref()
+                .and_then(|pw| guesses.iter().position(|g| g == pw))
+                .map_or(guesses.len(), |i| i + 1);
             if found.is_some() {
                 cracked[class_idx(*class)] += 1;
             }

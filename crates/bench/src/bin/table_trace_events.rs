@@ -29,8 +29,15 @@ fn main() {
     let mut json = BenchJson::new("E15");
 
     // Part 1: what one attack run emits, per configuration.
-    let mut table =
-        TextTable::new(&["config", "events", "wire hops", "spans", "metric keys", "deterministic"]);
+    let mut table = TextTable::new(&[
+        "config",
+        "events",
+        "wire hops",
+        "spans",
+        "metric keys",
+        "ring bytes",
+        "deterministic",
+    ]);
     for config in ProtocolConfig::presets() {
         let tracer = a1_trace(&config);
         let events = tracer.events();
@@ -44,6 +51,7 @@ fn main() {
         json.int(&format!("events.{}", config.name), events.len() as u64);
         json.int(&format!("wire_hops.{}", config.name), hops as u64);
         json.int(&format!("spans.{}", config.name), spans as u64);
+        json.int(&format!("ring_bytes.{}", config.name), tracer.ring_bytes() as u64);
         json.flag(&format!("deterministic.{}", config.name), deterministic);
         table.row(&[
             config.name.into(),
@@ -51,6 +59,7 @@ fn main() {
             hops.to_string(),
             spans.to_string(),
             metric_keys.to_string(),
+            tracer.ring_bytes().to_string(),
             deterministic.to_string(),
         ]);
         assert!(deterministic, "same-seed A1 traces must be byte-identical on {}", config.name);

@@ -23,6 +23,49 @@ use krb_crypto::des::{self, DesKey, ScheduledKey};
 use krb_crypto::modes;
 use krb_crypto::rng::RandomSource;
 
+/// The first body block of a sealed message, decrypted on its own (see
+/// [`EncLayer::open_head`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SealedHead {
+    block: [u8; 8],
+    /// The body bytes within `block`: past a length word, and never
+    /// beyond the body's end.
+    body: (usize, usize),
+    /// Length of the plaintext [`EncLayer::open_into`] would return.
+    pub len: usize,
+}
+
+impl SealedHead {
+    /// The plaintext bytes the block holds: a prefix of what
+    /// [`EncLayer::open_into`] returns.
+    pub fn bytes(&self) -> &[u8] {
+        self.block.get(self.body.0..self.body.1).unwrap_or(&[])
+    }
+}
+
+/// Bytes a V5 plaintext of `total` bytes starts with before its body:
+/// the confounder block, when there is one.
+fn confounder_skip(confounder: bool, total: usize) -> Result<usize, KrbError> {
+    let skip = if confounder { 8 } else { 0 };
+    if total < skip {
+        return Err(KrbError::Decode("V5 sealed part too short"));
+    }
+    Ok(skip)
+}
+
+/// Splits a hardened ciphertext into its CBC body and trailing MAC.
+fn split_mac(ciphertext: &[u8]) -> Result<(&[u8], &[u8]), KrbError> {
+    if ciphertext.len() < 16 {
+        return Err(KrbError::Decode("hardened sealed part too short"));
+    }
+    Ok(ciphertext.split_at(ciphertext.len() - 16))
+}
+
+/// Ciphertext block `i` (bytes `8i..8i+8`), if the message has one.
+fn block_at(ciphertext: &[u8], i: usize) -> Option<[u8; 8]> {
+    ciphertext.get(8 * i..8 * i + 8).map(crate::encoding::be_array::<8>)
+}
+
 /// A sealing/opening discipline for encrypted message parts.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EncLayer {
@@ -39,6 +82,22 @@ pub enum EncLayer {
 }
 
 impl EncLayer {
+    /// Checks the length word leading a V4 or hardened plaintext of
+    /// `total` bytes (word included) and returns the body length it
+    /// frames.
+    fn framed_len(self, word: Option<&[u8]>, total: usize) -> Result<usize, KrbError> {
+        let (short, range) = match self {
+            EncLayer::HardenedCbc => ("hardened sealed part too short", "hardened length out of range"),
+            _ => ("V4 sealed part too short", "V4 length field out of range"),
+        };
+        let Some(word) = word else { return Err(KrbError::Decode(short)) };
+        let len = u32::from_be_bytes(crate::encoding::be_array::<4>(word)) as usize;
+        if 4 + len > total {
+            return Err(KrbError::Decode(range));
+        }
+        Ok(len)
+    }
+
     /// Whether tampering with a sealed message is detected by
     /// [`EncLayer::open`].
     pub fn provides_integrity(self) -> bool {
@@ -153,13 +212,7 @@ impl EncLayer {
             EncLayer::V4Pcbc => {
                 buf.extend_from_slice(ciphertext);
                 modes::pcbc_decrypt_in_place(key.schedule(), key.key().to_u64(), buf)?;
-                if buf.len() < 4 {
-                    return Err(KrbError::Decode("V4 sealed part too short"));
-                }
-                let len = u32::from_be_bytes(crate::encoding::be_array::<4>(&buf[..4])) as usize;
-                if 4 + len > buf.len() {
-                    return Err(KrbError::Decode("V4 length field out of range"));
-                }
+                let len = self.framed_len(buf.get(..4), buf.len())?;
                 buf.truncate(4 + len);
                 buf.drain(..4);
                 Ok(())
@@ -167,20 +220,14 @@ impl EncLayer {
             EncLayer::V5Cbc { confounder } => {
                 buf.extend_from_slice(ciphertext);
                 modes::cbc_decrypt_in_place(key.schedule(), 0, buf)?;
-                let skip = if confounder { 8 } else { 0 };
-                if buf.len() < skip {
-                    return Err(KrbError::Decode("V5 sealed part too short"));
-                }
+                let skip = confounder_skip(confounder, buf.len())?;
                 // No integrity, no framing: the caller parses from the
                 // front and tolerates trailing padding.
                 buf.drain(..skip);
                 Ok(())
             }
             EncLayer::HardenedCbc => {
-                if ciphertext.len() < 16 {
-                    return Err(KrbError::Decode("hardened sealed part too short"));
-                }
-                let (ct, mac_bytes) = ciphertext.split_at(ciphertext.len() - 16);
+                let (ct, mac_bytes) = split_mac(ciphertext)?;
                 // Decrypt into an IV-prefixed buffer so the MAC input is
                 // already contiguous.
                 buf.extend_from_slice(&iv.to_be_bytes());
@@ -195,16 +242,52 @@ impl EncLayer {
                 if !recomputed.value.ct_eq(mac_bytes) {
                     return Err(KrbError::IntegrityFailure);
                 }
-                if buf.len() < 12 {
-                    return Err(KrbError::Decode("hardened sealed part too short"));
-                }
-                let len = u32::from_be_bytes(crate::encoding::be_array::<4>(&buf[8..12])) as usize;
-                if 12 + len > buf.len() {
-                    return Err(KrbError::Decode("hardened length out of range"));
-                }
+                let len = self.framed_len(buf.get(8..12), buf.len() - 8)?;
                 buf.truncate(12 + len);
                 buf.drain(..12);
                 Ok(())
+            }
+        }
+    }
+
+    /// Decrypts only the first ciphertext block that holds message body
+    /// and applies each check of [`EncLayer::open_into`] whose bytes that
+    /// block holds: the V4 and hardened length words, the V5 confounder
+    /// skip (the body's first block chains on the confounder's
+    /// ciphertext). An error means `open_into` fails on the same input;
+    /// the hardened MAC, which needs every block, is left to it. A
+    /// password guess costs one block here instead of the whole message.
+    pub fn open_head(
+        self,
+        key: &ScheduledKey,
+        iv: u64,
+        ciphertext: &[u8],
+    ) -> Result<SealedHead, KrbError> {
+        let decrypt = |mut block: [u8; 8], chain: u64| -> Result<[u8; 8], KrbError> {
+            modes::cbc_decrypt_in_place(key.schedule(), chain, &mut block)?;
+            Ok(block)
+        };
+        match self {
+            EncLayer::V4Pcbc | EncLayer::HardenedCbc => {
+                // PCBC's first block decrypts as CBC's does, chained on
+                // the IV (V4's is the key itself).
+                let (ct, chain) = match self {
+                    EncLayer::V4Pcbc => (ciphertext, key.key().to_u64()),
+                    _ => (split_mac(ciphertext)?.0, iv),
+                };
+                let block = block_at(ct, 0).map(|b| decrypt(b, chain)).transpose()?;
+                let len = self.framed_len(block.as_ref().map(|b| &b[..4]), ct.len())?;
+                Ok(SealedHead { block: block.unwrap_or_default(), body: (4, 4 + len.min(4)), len })
+            }
+            EncLayer::V5Cbc { confounder } => {
+                let skip = confounder_skip(confounder, ciphertext.len())?;
+                let chain = block_at(ciphertext, 0).filter(|_| skip > 0).map_or(0, u64::from_be_bytes);
+                let block = block_at(ciphertext, skip / 8).map(|b| decrypt(b, chain)).transpose()?;
+                Ok(SealedHead {
+                    block: block.unwrap_or_default(),
+                    body: (0, if block.is_some() { 8 } else { 0 }),
+                    len: ciphertext.len() - skip,
+                })
             }
         }
     }

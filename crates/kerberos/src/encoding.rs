@@ -245,34 +245,62 @@ impl Codec {
     /// field and byte offset that broke, so a reject off a hostile wire
     /// is diagnosable.
     pub fn open(self, mtype: MsgType, data: &[u8]) -> Result<&[u8], KrbError> {
+        let start = match self {
+            Codec::Legacy => 0,
+            Codec::Typed => 6,
+            Codec::Wire => wire::HEADER_LEN,
+        };
+        // The whole message is in view, so every check runs and the
+        // length field, when the codec has one, bounds the body.
+        let body = &data[start.min(data.len())..];
+        Ok(match self.check_envelope(mtype, data, data.len())? {
+            Some(len) => &body[..len.min(body.len())],
+            None => body,
+        })
+    }
+
+    /// Checks the envelope of a message `total` bytes long of which
+    /// `head` is a prefix, in [`Codec::open`]'s order, skipping each check
+    /// whose bytes lie beyond `head`. Returns the body length once the
+    /// header's length field is in view (`None` under the legacy codec,
+    /// which has none). `open` runs it on the whole message, so a prefix
+    /// that fails here fails `open` with the same error.
+    pub fn check_envelope(
+        self,
+        mtype: MsgType,
+        head: &[u8],
+        total: usize,
+    ) -> Result<Option<usize>, KrbError> {
+        let at = |i: usize| head.get(i).copied();
+        let len_at =
+            |i: usize| head.get(i..i + 4).map(|b| u32::from_be_bytes(be_array::<4>(b)) as usize);
         match self {
-            Codec::Legacy => Ok(data),
+            Codec::Legacy => Ok(None),
             Codec::Typed => {
-                if data.len() < 6 {
+                if total < 6 {
                     return Err(KrbError::Envelope {
                         codec: "typed",
                         field: "header",
-                        offset: data.len(),
+                        offset: total,
                         found: None,
                     });
                 }
-                if data[0] != TYPED_MAGIC {
+                if let Some(b) = at(0).filter(|&b| b != TYPED_MAGIC) {
                     return Err(KrbError::Envelope {
                         codec: "typed",
                         field: "magic",
                         offset: 0,
-                        found: Some(data[0]),
+                        found: Some(b),
                     });
                 }
-                if data[1] != mtype as u8 {
-                    return Err(KrbError::WrongType { expected: mtype as u8, found: data[1] });
+                if let Some(b) = at(1).filter(|&b| b != mtype as u8) {
+                    return Err(KrbError::WrongType { expected: mtype as u8, found: b });
                 }
-                let len = u32::from_be_bytes(be_array::<4>(&data[2..6])) as usize;
-                let body = &data[6..];
+                let Some(len) = len_at(2) else { return Ok(None) };
                 // Truncation is fatal; trailing bytes beyond `len` are
                 // tolerated because decrypted envelopes carry cipher
                 // padding.
-                if body.len() < len {
+                if total - 6 < len {
                     return Err(KrbError::Envelope {
                         codec: "typed",
                         field: "length",
@@ -280,53 +308,52 @@ impl Codec {
                         found: None,
                     });
                 }
-                Ok(&body[..len])
+                Ok(Some(len))
             }
             Codec::Wire => {
-                if data.len() < wire::HEADER_LEN {
+                if total < wire::HEADER_LEN {
                     return Err(KrbError::Envelope {
                         codec: "wire",
                         field: "header",
-                        offset: data.len(),
+                        offset: total,
                         found: None,
                     });
                 }
-                if data[0] != wire::MAGIC {
+                if let Some(b) = at(0).filter(|&b| b != wire::MAGIC) {
                     return Err(KrbError::Envelope {
                         codec: "wire",
                         field: "magic",
                         offset: 0,
-                        found: Some(data[0]),
+                        found: Some(b),
                     });
                 }
-                if data[1] != wire::VERSION {
+                if let Some(b) = at(1).filter(|&b| b != wire::VERSION) {
                     return Err(KrbError::Envelope {
                         codec: "wire",
                         field: "version",
                         offset: 1,
-                        found: Some(data[1]),
+                        found: Some(b),
                     });
                 }
                 let expected = mtype.wire_tag();
-                if data[2] != expected {
+                if let Some(b) = at(2).filter(|&b| b != expected) {
                     // A known-but-different tag is a cross-context read
                     // (the confusion the tag exists to stop); an unknown
                     // tag is garbage.
-                    return Err(match MsgType::from_wire_tag(data[2]) {
-                        Some(_) => KrbError::WrongType { expected, found: data[2] },
+                    return Err(match MsgType::from_wire_tag(b) {
+                        Some(_) => KrbError::WrongType { expected, found: b },
                         None => KrbError::Envelope {
                             codec: "wire",
                             field: "msg-type",
                             offset: 2,
-                            found: Some(data[2]),
+                            found: Some(b),
                         },
                     });
                 }
-                let len = u32::from_be_bytes(be_array::<4>(&data[3..7])) as usize;
-                let body = &data[wire::HEADER_LEN..];
+                let Some(len) = len_at(3) else { return Ok(None) };
                 // Same padding tolerance as the typed codec: sealed
                 // envelopes come back with cipher padding appended.
-                if body.len() < len {
+                if total - wire::HEADER_LEN < len {
                     return Err(KrbError::Envelope {
                         codec: "wire",
                         field: "length",
@@ -334,7 +361,7 @@ impl Codec {
                         found: None,
                     });
                 }
-                Ok(&body[..len])
+                Ok(Some(len))
             }
         }
     }

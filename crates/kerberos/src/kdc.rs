@@ -20,7 +20,7 @@ use crate::principal::Principal;
 use crate::replay_cache::{CacheVerdict, ReplayCache};
 use crate::ticket::Ticket;
 use krb_crypto::checksum;
-use krb_crypto::des::{DesKey, ScheduledKey};
+use krb_crypto::des::{self, DesKey, ScheduledKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::{Drbg, RandomSource};
 use krb_trace::{EventKind, Tracer, Value};
@@ -75,18 +75,13 @@ fn evict_for_insert<K: Ord + Clone, V>(
 
 /// Derives the handheld-authenticator response key `{R}K_c`.
 pub fn hha_key(kc: &DesKey, r: u64) -> DesKey {
-    DesKey::from_u64(kc.encrypt_block(r)).with_odd_parity()
+    des::with_scheduled(kc, |sk| hha_key_with(sk, r))
 }
 
-/// An audit record of an issued ticket.
-#[derive(Clone, Debug)]
-pub struct IssueRecord {
-    /// The client the ticket names.
-    pub client: Principal,
-    /// The service it is good for.
-    pub service: Principal,
-    /// KDC local time at issue, µs.
-    pub at_us: u64,
+/// [`hha_key`] under an already-expanded `K_c`, bypassing the schedule
+/// cache.
+pub fn hha_key_with(kc: &ScheduledKey, r: u64) -> DesKey {
+    DesKey::from_u64(kc.encrypt_block(r)).with_odd_parity()
 }
 
 /// The KDC service.
@@ -111,8 +106,6 @@ pub struct Kdc {
     /// Reusable plaintext scratch for preauth-blob opens: the batch
     /// path opens thousands of blobs without allocating per request.
     scratch: Vec<u8>,
-    /// Audit log of issued tickets.
-    pub issued: Vec<IssueRecord>,
     /// Simulated stable storage: the last replay-cache snapshot. This
     /// field survives a crash window (unlike every volatile structure
     /// cleared by `on_restart`) precisely because it models the disk.
@@ -155,7 +148,6 @@ impl Kdc {
             preauth_cache: ReplayCache::new(skew),
             pending_hha: BTreeMap::new(),
             scratch: Vec::new(),
-            issued: Vec::new(),
             disk: None,
             last_snapshot_us: 0,
             restarts: 0,
@@ -450,7 +442,6 @@ impl Kdc {
             self.maybe_snapshot(now_us);
         }
         self.trace_issue("as", &req.client, &req.service, &session_key, ticket.end_time);
-        self.issued.push(IssueRecord { client: req.client, service: req.service, at_us: now_us });
         AsRep { challenge_r, dh_public, enc_part }.encode(self.config.codec)
     }
 
@@ -649,7 +640,6 @@ impl Kdc {
                 Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
             };
             self.trace_issue("tgs.renew", &tgt.client, &req.service, &renewed.session_key, renewed.end_time);
-            self.issued.push(IssueRecord { client: tgt.client, service: req.service, at_us: now_us });
             return TgsRep { enc_part }.encode(self.config.codec);
         }
 
@@ -790,7 +780,6 @@ impl Kdc {
         };
 
         self.trace_issue("tgs", &tgt.client, &req.service, &session_key, end_time);
-        self.issued.push(IssueRecord { client: tgt.client, service: req.service, at_us: now_us });
         TgsRep { enc_part }.encode(self.config.codec)
     }
 

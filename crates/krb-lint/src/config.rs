@@ -101,6 +101,7 @@ pub const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("krb-crypto", "feistel"),
     ("krb-gateway", "handle"),
     ("krb-ids", "index_windows"),
+    ("krb-trace", "encode_record"),
 ];
 
 /// Allocating method calls A001 flags inside a hot-path function.

@@ -488,6 +488,26 @@ mod tests {
     }
 
     #[test]
+    fn a001_guards_the_trace_record_writer() {
+        // Every traced event passes through the ring's record writer; an
+        // owned copy per string field there is a finding.
+        let src = r#"
+            fn encode_record(&mut self, ev: &Event, out: &mut Vec<u8>) {
+                for (name, value) in &ev.fields {
+                    if let Value::Str(s) = value {
+                        out.extend_from_slice(s.to_string().as_bytes());
+                    }
+                }
+            }
+        "#;
+        let f = run(&[("crates/krb-trace/src/ring.rs", "krb-trace", src)], None);
+        let a: Vec<_> = f.iter().filter(|x| x.rule == Rule::A001).collect();
+        assert_eq!(a.len(), 1, "{f:#?}");
+        assert!(a[0].message.contains(".to_string()"));
+        assert!(a[0].message.contains("encode_record"));
+    }
+
+    #[test]
     fn e001_reports_drift_both_ways() {
         let src = r#"fn report(&self) { self.trace.counter("kdc.issued", scope, 1);
                      self.trace.counter("kdc.unlisted", scope, 1); }"#;

@@ -6,9 +6,9 @@ use std::sync::Arc;
 ///
 /// The variants mirror what JSONL can carry with a stable rendering:
 /// numbers, booleans, strings, and raw wire bytes (hex-encoded on
-/// export).  Bytes are `Arc`-shared so recording a datagram payload is
-/// a refcount bump, not a copy — tracing must never perturb the
-/// simulation it observes.
+/// export).  Bytes are `Arc`-shared, so building an event around a
+/// datagram payload, or cloning it to subscribers, is a refcount bump;
+/// the tracer's ring copies the bytes into its own record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Value {
     U64(u64),
@@ -82,6 +82,31 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind, indexed by its discriminant (the byte the trace ring
+    /// stores and decodes through this table): a new variant goes at
+    /// the end of the enum and of this list.
+    pub const ALL: [EventKind; 19] = [
+        EventKind::WireHop,
+        EventKind::SpanBegin,
+        EventKind::SpanEnd,
+        EventKind::Retry,
+        EventKind::TicketIssued,
+        EventKind::TicketDecrypted,
+        EventKind::AuthAccepted,
+        EventKind::AuthRejected,
+        EventKind::ReplayBlocked,
+        EventKind::FailClosed,
+        EventKind::ChallengeIssued,
+        EventKind::PreauthFailed,
+        EventKind::RateLimited,
+        EventKind::HostDown,
+        EventKind::HostRestart,
+        EventKind::GatewayShed,
+        EventKind::GatewayThrottle,
+        EventKind::IdsAlert,
+        EventKind::Note,
+    ];
+
     /// Stable dotted label used as the JSONL `kind` field.
     pub fn label(self) -> &'static str {
         match self {
@@ -182,30 +207,16 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let all = [
-            EventKind::WireHop,
-            EventKind::SpanBegin,
-            EventKind::SpanEnd,
-            EventKind::Retry,
-            EventKind::TicketIssued,
-            EventKind::TicketDecrypted,
-            EventKind::AuthAccepted,
-            EventKind::AuthRejected,
-            EventKind::ReplayBlocked,
-            EventKind::FailClosed,
-            EventKind::ChallengeIssued,
-            EventKind::PreauthFailed,
-            EventKind::RateLimited,
-            EventKind::HostDown,
-            EventKind::HostRestart,
-            EventKind::GatewayShed,
-            EventKind::GatewayThrottle,
-            EventKind::IdsAlert,
-            EventKind::Note,
-        ];
-        let mut labels: Vec<_> = all.iter().map(|k| k.label()).collect();
+        let mut labels: Vec<_> = EventKind::ALL.iter().map(|k| k.label()).collect();
         labels.sort_unstable();
         labels.dedup();
-        assert_eq!(labels.len(), all.len());
+        assert_eq!(labels.len(), EventKind::ALL.len());
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, k) in EventKind::ALL.iter().enumerate() {
+            assert_eq!(*k as usize, i, "{k:?}");
+        }
     }
 }

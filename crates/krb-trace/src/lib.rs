@@ -14,16 +14,18 @@
 //! Secrecy contract: events carry redacted key fingerprints only; the
 //! krb-lint rule S004 forbids secret-typed values in emission arguments.
 //!
-//! Sinks: an in-memory ring buffer (capacity-bounded, eviction counted),
-//! a stable-field-order JSONL exporter for golden tests, and a
-//! [`narrate`] renderer turning a trace into the paper's step-notation
-//! transcript (`c -> tgs: {A_c}K_{c,tgs}, T_{c,tgs} ...`) with the
-//! adversary's taps and injections interleaved.
+//! Sinks: an in-memory ring of encoded event records (capacity-bounded
+//! in events, eviction counted), a stable-field-order JSONL exporter for
+//! golden tests, and a [`narrate`] renderer turning a trace into the
+//! paper's step-notation transcript
+//! (`c -> tgs: {A_c}K_{c,tgs}, T_{c,tgs} ...`) with the adversary's taps
+//! and injections interleaved.
 
 pub mod event;
 pub mod jsonl;
 pub mod metrics;
 pub mod narrate;
+mod ring;
 pub mod tracer;
 
 pub use event::{Event, EventKind, Value};

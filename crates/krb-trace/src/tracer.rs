@@ -15,6 +15,7 @@
 
 use crate::event::{Event, EventKind, Value};
 use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::ring::Ring;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -27,7 +28,8 @@ const DEFAULT_CAPACITY: usize = 1 << 20;
 
 #[derive(Debug)]
 struct Core {
-    events: VecDeque<Event>,
+    /// Retained events, encoded (see [`crate::ring`]).
+    ring: Ring,
     /// Events evicted from the ring (oldest-first) since the last clear.
     evicted: u64,
     capacity: usize,
@@ -50,7 +52,7 @@ struct Core {
 impl Default for Core {
     fn default() -> Self {
         Core {
-            events: VecDeque::new(),
+            ring: Ring::default(),
             evicted: 0,
             capacity: DEFAULT_CAPACITY,
             next_seq: 0,
@@ -69,11 +71,15 @@ impl Core {
         for buf in self.subs.values_mut() {
             buf.push_back(ev.clone());
         }
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
+        self.evict_to(self.capacity.saturating_sub(1));
+        self.ring.push(&ev);
+    }
+
+    /// Evicts oldest-first until at most `keep` events remain.
+    fn evict_to(&mut self, keep: usize) {
+        while self.ring.len() > keep && self.ring.pop_front() {
             self.evicted = self.evicted.saturating_add(1);
         }
-        self.events.push_back(ev);
     }
 }
 
@@ -130,7 +136,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let c = self.core();
         f.debug_struct("Tracer")
-            .field("events", &c.events.len())
+            .field("events", &c.ring.len())
             .field("evicted", &c.evicted)
             .finish()
     }
@@ -226,10 +232,16 @@ impl Tracer {
         self.core().metrics.snapshot()
     }
 
-    /// All buffered events in sequence order (clones; payload bytes are
-    /// shared, not copied).
+    /// All buffered events in sequence order, decoded from the ring:
+    /// each call allocates fresh fields, strings and payload copies.
     pub fn events(&self) -> Vec<Event> {
-        self.core().events.iter().cloned().collect()
+        self.core().ring.events()
+    }
+
+    /// Bytes the buffered events occupy in the ring's encoding — a
+    /// deterministic size of what the tracer retains.
+    pub fn ring_bytes(&self) -> usize {
+        self.core().ring.encoded_bytes()
     }
 
     /// The sequence number the next event will get. Doubles as a
@@ -249,10 +261,8 @@ impl Tracer {
     pub fn set_capacity(&self, capacity: usize) {
         let mut c = self.core();
         c.capacity = capacity.max(1);
-        while c.events.len() > c.capacity {
-            c.events.pop_front();
-            c.evicted = c.evicted.saturating_add(1);
-        }
+        let keep = c.capacity;
+        c.evict_to(keep);
     }
 
     /// Drops buffered events and resets metrics; sequence and span
@@ -261,7 +271,7 @@ impl Tracer {
     /// a stream truncation.
     pub fn clear(&self) {
         let mut c = self.core();
-        c.events.clear();
+        c.ring.clear();
         c.evicted = 0;
         c.metrics.clear();
     }

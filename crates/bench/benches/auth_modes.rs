@@ -1,13 +1,13 @@
 //! E5 (bench half) — end-to-end cost of a full authentication under each
 //! configuration (login + TGS + AP exchange on the simulated network).
 
+use bench::bench::Harness;
 use kerberos::appserver::connect_app;
 use kerberos::client::{get_service_ticket, login, LoginInput, TgsParams};
 use kerberos::testbed::standard_campus;
 use kerberos::ProtocolConfig;
 use krb_crypto::rng::Drbg;
 use simnet::{Network, SimDuration};
-use testkit::bench::Harness;
 
 fn bench_full_auth(h: &mut Harness) {
     for config in ProtocolConfig::presets() {

@@ -1,10 +1,10 @@
 //! E4 (bench half) — modular exponentiation cost per DH group, and the
 //! full-exchange overhead the login DH layer adds.
 
+use bench::bench::Harness;
 use krb_crypto::bignum::mod_exp;
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::Drbg;
-use testkit::bench::Harness;
 
 fn bench_modexp(h: &mut Harness) {
     for g in [DhGroup::toy64(), DhGroup::small192(), DhGroup::oakley768(), DhGroup::oakley1024()] {

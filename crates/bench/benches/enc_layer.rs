@@ -1,10 +1,10 @@
 //! E6 — encryption-layer throughput: V4 PCBC vs Draft-3 CBC(+confounder)
 //! vs hardened CBC+MAC, across message sizes.
 
+use bench::bench::{Harness, Throughput};
 use kerberos::enclayer::EncLayer;
 use krb_crypto::des::DesKey;
 use krb_crypto::rng::Drbg;
-use testkit::bench::{Harness, Throughput};
 
 const LAYERS: [(&str, EncLayer); 3] = [
     ("v4-pcbc", EncLayer::V4Pcbc),

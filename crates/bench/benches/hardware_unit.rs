@@ -1,13 +1,13 @@
 //! E8 — the overhead of routing cryptographic operations through the
 //! (simulated) host encryption unit instead of software key handling.
 
+use bench::bench::Harness;
 use hardware::EncryptionUnit;
 use kerberos::enclayer::EncLayer;
 use kerberos::ProtocolConfig;
 use krb_crypto::des::DesKey;
 use krb_crypto::key::KeyPurpose;
 use krb_crypto::rng::Drbg;
-use testkit::bench::Harness;
 
 fn bench_seal_paths(h: &mut Harness) {
     let config = ProtocolConfig::hardened();

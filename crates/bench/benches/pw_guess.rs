@@ -2,12 +2,12 @@
 //! recorded AS reply, per configuration.
 
 use attacks::pw_guess::crack_as_reply;
+use bench::bench::{Harness, Throughput};
 use kerberos::encoding::MsgType;
 use kerberos::messages::EncKdcRepPart;
 use kerberos::{Principal, ProtocolConfig};
 use krb_crypto::rng::{Drbg, RandomSource};
 use krb_crypto::s2k;
-use testkit::bench::{Harness, Throughput};
 
 /// Builds a realistic sealed AS-reply part under the victim's key.
 fn sealed_reply(config: &ProtocolConfig, client: &Principal, password: &str) -> Vec<u8> {

@@ -1,7 +1,7 @@
 //! E3 (bench half) — replay-cache offer throughput as the cache grows.
 
+use bench::bench::Harness;
 use kerberos::replay_cache::ReplayCache;
-use testkit::bench::Harness;
 
 fn bench_offer(h: &mut Harness) {
     for preload in [0usize, 1_000, 100_000] {

@@ -1,11 +1,11 @@
 //! E7 (bench half) — session send/receive throughput: timestamp caching
 //! vs sequence numbers, as session history grows.
 
+use bench::bench::Harness;
 use kerberos::session::{Direction, Session};
 use kerberos::{Principal, ProtocolConfig};
 use krb_crypto::des::DesKey;
 use krb_crypto::rng::Drbg;
-use testkit::bench::Harness;
 
 fn make_pair(config: &ProtocolConfig) -> (Session, Session) {
     let key = DesKey::from_u64(0x2468ACE013579BDF).with_odd_parity();

@@ -1,4 +1,5 @@
-//! A lightweight wall-clock bench harness, replacing `criterion`.
+//! A lightweight wall-clock bench harness for the `benches/*` suites,
+//! replacing `criterion`.
 //!
 //! Model: per benchmark, a warmup phase calibrates how many iterations
 //! fit in one sample window, then `samples` timed batches are taken and
@@ -144,7 +145,7 @@ impl Harness {
             std::hint::black_box(routine(input));
             per_iter.push(t0.elapsed().as_secs_f64() * 1e9);
         }
-        self.push(id, None, 1, per_iter);
+        self.summarize(id, None, 1, per_iter);
     }
 
     fn record<R>(&mut self, id: &str, tp: Option<Throughput>, mut f: impl FnMut() -> R) {
@@ -167,10 +168,10 @@ impl Harness {
             }
             per_iter_ns.push(t0.elapsed().as_secs_f64() * 1e9 / batch as f64);
         }
-        self.push(id, tp, batch, per_iter_ns);
+        self.summarize(id, tp, batch, per_iter_ns);
     }
 
-    fn push(&mut self, id: &str, tp: Option<Throughput>, batch: u64, mut ns: Vec<f64>) {
+    fn summarize(&mut self, id: &str, tp: Option<Throughput>, batch: u64, mut ns: Vec<f64>) {
         ns.sort_by(|a, b| a.total_cmp(b));
         let n = ns.len();
         let result = BenchResult {

@@ -1,7 +1,8 @@
-//! E19 — static-analysis coverage: what the flow-aware lint actually
-//! traversed. Runs the full workspace lint once, times it, and reports
-//! findings per rule (active + baselined separately), functions
-//! analysed, call edges resolved, and taint paths walked.
+//! E14 + E19 — the static-analysis tables. Runs the full workspace lint
+//! once, times it, and prints the rule × crate violation table (E14,
+//! active + baselined) and the flow-pass coverage: findings per rule,
+//! functions analysed, call edges resolved, and taint paths walked
+//! (E19).
 //!
 //! The wall-clock goes to stdout only; `BENCH_lint.json` carries
 //! nothing but deterministic counts, so `verify.sh` byte-diffs two
@@ -33,6 +34,8 @@ fn main() -> ExitCode {
         }
     };
 
+    print_rule_by_crate(&report);
+
     let mut t = TextTable::new(&["rule", "active", "baselined"]);
     let mut json = BenchJson::new("E19");
     json.int("files_scanned", report.files_scanned as u64)
@@ -60,4 +63,29 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// The E14 table: rule × crate violation counts (active + baselined),
+/// with each rule's rationale.
+fn print_rule_by_crate(report: &krb_lint::Report) {
+    let counts = report.counts_by_rule_and_crate();
+    let mut crates: Vec<&str> =
+        counts.values().flat_map(|m| m.keys().map(String::as_str)).collect();
+    crates.sort();
+    crates.dedup();
+    let mut headers = vec!["rule", "rationale"];
+    headers.extend(&crates);
+    headers.push("total");
+    let mut t = TextTable::new(&headers);
+    for rule in ALL_RULES {
+        let per = &counts[rule.id()];
+        let mut row = vec![rule.id().to_string(), rule.rationale().to_string()];
+        for c in &crates {
+            let n = per.get(*c).copied().unwrap_or(0);
+            row.push(if n == 0 { "·".to_string() } else { n.to_string() });
+        }
+        row.push(per.values().sum::<usize>().to_string());
+        t.row(&row);
+    }
+    t.print("krb-lint rule × crate violations (E14)");
 }

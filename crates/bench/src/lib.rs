@@ -1,6 +1,13 @@
 //! Shared helpers for the experiment harness: table formatting,
 //! wall-clock measurement, and the stable machine-readable report every
-//! `table_*` bin writes next to its TextTable.
+//! `table_*` bin writes next to its TextTable. [`bench`] is the sampling
+//! harness the `benches/*` suites run on.
+//!
+//! This crate and the root package are the only code that reads the
+//! wall clock (clippy.toml bans it everywhere else), and no other crate
+//! depends on them.
+
+pub mod bench;
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -17,6 +17,9 @@
 //! - [`token::HandheldAuthenticator`] — the login token computing
 //!   `{R}K_c`.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod keystore;
 pub mod randsvc;
 pub mod token;

@@ -25,6 +25,9 @@
 //! - [`traceview`] — paper-notation rendering of traces and the
 //!   key-fingerprint redaction helper (krb-trace integration).
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod appserver;
 pub mod authenticator;
 pub mod ccache;

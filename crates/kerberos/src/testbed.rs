@@ -97,6 +97,10 @@ impl DeployedRealm {
     /// # Panics
     ///
     /// Panics if the service was not deployed or is not an `AppServer`.
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment-harness fixture access; failing loudly at setup is correct and precedes any protocol traffic"
+    )]
     pub fn with_app_server<R>(
         &self,
         net: &mut Network,
@@ -120,6 +124,10 @@ impl DeployedRealm {
     /// # Panics
     ///
     /// Panics if the KDC host does not hold a `Kdc`.
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment-harness fixture access; failing loudly at setup is correct and precedes any protocol traffic"
+    )]
     pub fn with_kdc<R>(&self, net: &mut Network, f: impl FnOnce(&mut Kdc) -> R) -> R {
         let svc = net
             .host_mut(self.kdc_host)
@@ -174,6 +182,10 @@ impl DeployedRealm {
     /// # Panics
     ///
     /// Panics if no gateway was deployed.
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment-harness fixture access; failing loudly at setup is correct and precedes any protocol traffic"
+    )]
     pub fn with_gateway<R>(&self, net: &mut Network, f: impl FnOnce(&mut KrbGateway) -> R) -> R {
         let hid = self.gateway_host.expect("gateway deployed");
         let svc = net
@@ -359,6 +371,10 @@ impl KdcCluster {
     /// # Panics
     ///
     /// Panics if the host does not hold a `Kdc`.
+    #[expect(
+        clippy::expect_used,
+        reason = "experiment-harness fixture access; failing loudly at setup is correct and precedes any protocol traffic"
+    )]
     pub fn with_shard_kdc<R>(
         &self,
         net: &mut Network,

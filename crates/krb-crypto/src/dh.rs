@@ -52,6 +52,10 @@ impl DhGroup {
     /// A 192-bit prime field (p = 2^192 - 237, the largest 192-bit
     /// prime); the size class LaMacchia & Odlyzko showed was marginal
     /// even in 1990.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "compile-time group constant, exercised by tests; a fallback would silently weaken the group"
+    )]
     pub fn small192() -> Self {
         DhGroup {
             name: "small-192",
@@ -62,6 +66,10 @@ impl DhGroup {
     }
 
     /// Oakley Group 1 (RFC 2409), 768-bit MODP.
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time group constant, exercised by tests; a fallback would silently weaken the group"
+    )]
     pub fn oakley768() -> Self {
         DhGroup {
             name: "oakley-768",
@@ -77,6 +85,10 @@ impl DhGroup {
     }
 
     /// Oakley Group 2 (RFC 2409), 1024-bit MODP.
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time group constant, exercised by tests; a fallback would silently weaken the group"
+    )]
     pub fn oakley1024() -> Self {
         DhGroup {
             name: "oakley-1024",
@@ -96,6 +108,10 @@ impl DhGroup {
     /// subgroup order, for the Pollard-rho discrete-log tests. Found by
     /// a deterministic search so the constants are correct by
     /// construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "compile-time group constant, exercised by tests; a fallback would silently weaken the group"
+    )]
     pub fn toy_safe() -> Self {
         let mut g = Self::generate_safe(21, &mut crate::rng::Drbg::new(0x5afe)).expect("search terminates");
         g.name = "toy-safe";

@@ -8,10 +8,15 @@
 use crate::bignum::{mod_exp, mod_inverse, BigUint};
 use crate::error::CryptoError;
 use crate::rng::RandomSource;
+#[expect(clippy::disallowed_types, reason = "for `bsgs`'s probe-only baby-step table")]
 use std::collections::HashMap;
 
 /// Solves `g^x = h (mod p)` for `x < bound` by baby-step/giant-step.
 /// Memory O(sqrt(bound)), time O(sqrt(bound)) group operations.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the BSGS baby-step table is probe-only (never iterated) on the E4 time-to-break hot path; its order cannot reach any output"
+)]
 pub fn bsgs(g: &BigUint, h: &BigUint, p: &BigUint, bound: u64) -> Result<u64, CryptoError> {
     if bound == 0 {
         return Err(CryptoError::DlogNotFound);

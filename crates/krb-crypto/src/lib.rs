@@ -27,6 +27,9 @@
 //!   [`SecretBytes`] redaction wrapper; the sanctioned fixes for
 //!   krb-lint rules C001 and S001.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod bignum;
 pub mod checksum;
 pub mod crc32;

@@ -8,6 +8,9 @@
 //! and prints the deterministic report. Exit status: 0 when no decoder
 //! panicked, 1 when any input panicked, 2 on bad arguments.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use krb_fuzz::corpus::generate_all_seeds;
 use krb_fuzz::harness::{run, FuzzConfig};
 use std::process::ExitCode;

@@ -3,7 +3,7 @@
 //! A dependency-free, fully deterministic fuzzing harness for the
 //! kerberos codec. The paper's attacks all hinge on what a parser will
 //! accept off the wire; this crate turns that observation on our own
-//! implementation and proves the panic-hygiene bar (krb-lint P001)
+//! implementation and proves the panic-hygiene bar (no `unwrap`/`panic!`)
 //! holds under *adversarial* bytes, not just well-formed ones.
 //!
 //! Design constraints, in order:
@@ -22,6 +22,9 @@
 //! 4. **Minimized regressions.** Any interesting input is shrunk by a
 //!    deterministic ddmin-style reducer ([`reduce`]) and pinned under
 //!    `corpus/regressions/` with its golden diagnostic.
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod classify;
 pub mod corpus;

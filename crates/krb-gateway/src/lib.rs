@@ -33,6 +33,9 @@
 //! trait, keeping the admission machinery reusable and the dependency
 //! graph acyclic.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod bucket;
 pub mod gateway;
 pub mod penalty;

@@ -26,6 +26,9 @@
 //! on the *zero-fault* workload and reports the chaos/overload alert
 //! rates as what they are: the cost of faults that look like attacks.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod compile;
 pub mod engine;
 pub mod rules;

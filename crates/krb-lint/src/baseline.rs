@@ -12,9 +12,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "P001"
-//! file = "crates/kerberos/src/testbed.rs"
-//! reason = "test-harness fixture construction; a panic is the right failure"
+//! rule = "A001"
+//! file = "crates/kerberos/src/kdc.rs"
+//! reason = "tracer handle refresh is one Arc refcount bump per batch"
 //! ```
 
 use crate::diag::{Finding, Rule};
@@ -151,24 +151,24 @@ mod tests {
     #[test]
     fn parses_and_suppresses() {
         let b = Baseline::parse(
-            "# comment\n[[allow]]\nrule = \"P001\"\nfile = \"a.rs\"\nreason = \"fixture construction panics are fine\"\n",
+            "# comment\n[[allow]]\nrule = \"S005\"\nfile = \"a.rs\"\nreason = \"the report prints the recovered password\"\n",
         )
         .expect("parses");
         assert_eq!(b.allows.len(), 1);
-        assert!(b.suppresses(&finding(Rule::P001, "a.rs")));
-        assert!(!b.suppresses(&finding(Rule::P002, "a.rs")));
-        assert!(!b.suppresses(&finding(Rule::P001, "b.rs")));
+        assert!(b.suppresses(&finding(Rule::S005, "a.rs")));
+        assert!(!b.suppresses(&finding(Rule::S002, "a.rs")));
+        assert!(!b.suppresses(&finding(Rule::S005, "b.rs")));
     }
 
     #[test]
     fn missing_reason_is_an_error() {
-        let e = Baseline::parse("[[allow]]\nrule = \"P001\"\nfile = \"a.rs\"\n").unwrap_err();
+        let e = Baseline::parse("[[allow]]\nrule = \"C001\"\nfile = \"a.rs\"\n").unwrap_err();
         assert!(e.message.contains("reason"), "{e:?}");
     }
 
     #[test]
     fn short_reason_is_an_error() {
-        let e = Baseline::parse("[[allow]]\nrule = \"P001\"\nfile = \"a.rs\"\nreason = \"meh\"\n")
+        let e = Baseline::parse("[[allow]]\nrule = \"C001\"\nfile = \"a.rs\"\nreason = \"meh\"\n")
             .unwrap_err();
         assert!(e.message.contains("justification"), "{e:?}");
     }
@@ -176,10 +176,10 @@ mod tests {
     #[test]
     fn stale_entries_are_reported() {
         let b = Baseline::parse(
-            "[[allow]]\nrule = \"P001\"\nfile = \"gone.rs\"\nreason = \"this file was fixed already\"\n",
+            "[[allow]]\nrule = \"A001\"\nfile = \"gone.rs\"\nreason = \"this file was fixed already\"\n",
         )
         .expect("parses");
-        let stale = b.stale_entries(&[finding(Rule::P001, "other.rs")]);
+        let stale = b.stale_entries(&[finding(Rule::A001, "other.rs")]);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].file, "gone.rs");
     }
@@ -187,5 +187,7 @@ mod tests {
     #[test]
     fn unknown_rule_rejected() {
         assert!(Baseline::parse("[[allow]]\nrule = \"Z999\"\n").is_err());
+        // A retired ID is unknown too: its entries must go with the rule.
+        assert!(Baseline::parse("[[allow]]\nrule = \"P001\"\n").is_err());
     }
 }

@@ -70,11 +70,6 @@ impl Graph {
         g
     }
 
-    /// The crate owning `fnref`'s file.
-    pub fn crate_of(&self, fnref: FnRef) -> &str {
-        &self.crates[fnref.file]
-    }
-
     /// Resolves `call` made from `from_crate` (in file `from_file`) to
     /// its unique definition, or `None` when unknown or ambiguous.
     pub fn resolve(&self, call: &CallSite, from_crate: &str, from_file: usize) -> Option<FnRef> {

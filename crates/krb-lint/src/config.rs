@@ -1,4 +1,4 @@
-//! What the rules consider secret, deterministic, and protocol-grade.
+//! What the rules consider secret, deterministic, and hot-path.
 //!
 //! This is the lint's registry: the one place future PRs extend when
 //! they add a key-carrying type or a new crate. Everything here is data,
@@ -17,41 +17,13 @@ pub const SECRET_TYPES: &[&str] = &[
     "SecretBytes",
 ];
 
-/// Crates whose execution must be a pure function of their inputs: the
-/// simulator, the protocol, the crypto, the attack campaigns (E1's
-/// golden matrix is byte-identical across runs), the tracing layer
-/// (same-seed traces are byte-identical JSONL), the fuzzer (two
-/// same-seed runs must produce byte-identical reports), and the linter
-/// itself (same-tree runs must report byte-identical findings, and the
-/// E19 coverage JSON is diffed across double runs). `krb-ids` detects
-/// as a pure function of the trace — same-seed alert streams are
-/// byte-identical JSONL and the E20 matrix is diffed across double
-/// runs — so a wall-clock or RNG read there would break the golden.
-/// `bench` and `testkit` are exempt — they measure wall clocks on
-/// purpose.
+/// Crates whose execution must be a pure function of their inputs: every
+/// run replays from a seed, and same-seed traces, fuzz reports, alert
+/// streams and lint reports are byte-identical. P003 checks their
+/// encode/decode functions for truncating length casts. Their wall-clock,
+/// `RandomState` and socket bans live in clippy.toml.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "simnet", "kerberos", "krb-crypto", "attacks", "krb-trace", "krb-fuzz", "krb-gateway",
-    "krb-lint", "krb-ids",
-];
-
-/// Crates whose `src/` is production protocol code: a panic is a
-/// protocol-visible denial of service, so `unwrap`/`expect`/`panic!`
-/// are forbidden outside tests (P001/P002). `krb-trace` is on every
-/// protocol hot path, so it is held to the same bar, and `krb-fuzz`
-/// must never panic itself — a panic anywhere in its `src/` would be
-/// indistinguishable from the decoder bugs it exists to catch.
-/// `attacks` is the adversary harness and `bench` is tooling; they are
-/// exempt. `krb-gateway` fronts every KDC flow, so a panic there is a
-/// realm-wide outage — it is governed. `krb-lint` gates every verify
-/// run, so since PR 9 it meets its own bar: a panic in the linter would
-/// take the whole gate down with a stack trace instead of a finding.
-/// `krb-ids` watches the wire online — a panic in a detector is a
-/// crashed defender, the worst possible failure mode for monitoring —
-/// so rule parsing/compilation returns typed errors and detectors must
-/// stay total over arbitrary event bytes (the rule_props proptests
-/// drive that totality).
-pub const PANIC_FREE_CRATES: &[&str] = &[
-    "simnet", "kerberos", "krb-crypto", "hardware", "krb-trace", "krb-fuzz", "krb-gateway",
     "krb-lint", "krb-ids",
 ];
 

@@ -2,9 +2,11 @@
 
 use std::fmt;
 
-/// Every rule the engine knows, with a stable ID. IDs are append-only:
-/// a retired rule keeps its number so baselines and EXPERIMENTS.md
-/// history stay meaningful.
+/// Every rule the engine knows, with a stable ID. IDs are never reused:
+/// D001–D003, P001/P002 and H001 were retired into clippy.toml, the
+/// crate-root panic lints and `cargo metadata` (DESIGN.md "Static
+/// invariants"), and their numbers stay retired so baselines and
+/// EXPERIMENTS.md history keep one meaning.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Rule {
     /// Secret-bearing type derives `Debug`/`Display`/`Serialize`.
@@ -24,21 +26,6 @@ pub enum Rule {
     S005,
     /// `==`/`!=` on key or MAC material; `ct_eq` is required.
     C001,
-    /// Wall-clock / OS nondeterminism (`SystemTime`, `Instant`,
-    /// `thread::sleep`, `std::net`) in a deterministic crate.
-    D001,
-    /// `HashMap`/`HashSet` in a deterministic crate: `RandomState`
-    /// iteration order is per-process nondeterministic.
-    D002,
-    /// A deterministic-crate function transitively (≤3 hops) reaches a
-    /// wall-clock read defined *outside* the governed set — clock
-    /// laundering D001 cannot see.
-    D003,
-    /// `unwrap()`/`expect()` in non-test protocol code.
-    P001,
-    /// `panic!`/`unreachable!`/`todo!`/`unimplemented!` in non-test
-    /// protocol code.
-    P002,
     /// Truncating `as u8/u16/u32` cast on a length-named operand inside
     /// an encode/decode-path function of a deterministic crate.
     P003,
@@ -48,8 +35,6 @@ pub enum Rule {
     /// Metric-name drift: a name emitted in code is missing from
     /// DESIGN.md's registry table, or vice versa.
     E001,
-    /// Non-path (external registry) dependency in a manifest.
-    H001,
 }
 
 /// All rules, in report order.
@@ -60,15 +45,9 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::S004,
     Rule::S005,
     Rule::C001,
-    Rule::D001,
-    Rule::D002,
-    Rule::D003,
-    Rule::P001,
-    Rule::P002,
     Rule::P003,
     Rule::A001,
     Rule::E001,
-    Rule::H001,
 ];
 
 impl Rule {
@@ -81,15 +60,9 @@ impl Rule {
             Rule::S004 => "S004",
             Rule::S005 => "S005",
             Rule::C001 => "C001",
-            Rule::D001 => "D001",
-            Rule::D002 => "D002",
-            Rule::D003 => "D003",
-            Rule::P001 => "P001",
-            Rule::P002 => "P002",
             Rule::P003 => "P003",
             Rule::A001 => "A001",
             Rule::E001 => "E001",
-            Rule::H001 => "H001",
         }
     }
 
@@ -98,7 +71,7 @@ impl Rule {
         ALL_RULES.iter().copied().find(|r| r.id() == s)
     }
 
-    /// One-line rationale, shown in `--report` and DESIGN.md.
+    /// One-line rationale, shown in the E14 table and DESIGN.md.
     pub fn rationale(self) -> &'static str {
         match self {
             Rule::S001 => "secret types must not derive Debug/Display/Serialize",
@@ -107,15 +80,9 @@ impl Rule {
             Rule::S004 => "traces carry key fingerprints, never key material",
             Rule::S005 => "secrets must not reach sinks through renames or calls",
             Rule::C001 => "key/MAC comparison must be constant-time (ct_eq)",
-            Rule::D001 => "no wall clock, sleeps, or OS sockets in the simulator",
-            Rule::D002 => "no RandomState maps in deterministic crates",
-            Rule::D003 => "no clock reads laundered through helper crates",
-            Rule::P001 => "protocol code must not unwrap()/expect()",
-            Rule::P002 => "protocol code must not panic!/unreachable!",
             Rule::P003 => "wire lengths convert via try_from, never `as` casts",
             Rule::A001 => "hot-path functions stay allocation-free",
             Rule::E001 => "emitted metric names match DESIGN.md's registry",
-            Rule::H001 => "every dependency must be an in-tree path dependency",
         }
     }
 }

@@ -4,7 +4,6 @@ use crate::baseline::{Baseline, BaselineError};
 use crate::diag::{Finding, ALL_RULES};
 use crate::flow::{analyze_workspace, FileInput, FlowStats};
 use crate::lexer::lex;
-use crate::manifest::check_manifest;
 use crate::rules::{check_file, FileCtx};
 use std::collections::BTreeMap;
 use std::fs;
@@ -23,7 +22,7 @@ pub struct Report {
     pub baselined: Vec<Finding>,
     /// Baseline entries matching nothing (these fail the run).
     pub stale: Vec<String>,
-    /// Number of files analysed (`.rs` + manifests).
+    /// Number of `.rs` files analysed.
     pub files_scanned: usize,
     /// Flow-pass coverage counters (functions, call edges, taint paths)
     /// — the E19 metrics.
@@ -53,46 +52,43 @@ impl Report {
     }
 }
 
-/// The crate a workspace-relative path belongs to.
+/// The crate a workspace-relative path belongs to: `crates/<name>/…`,
+/// the standalone benchmark package under `kbench/`, or the root
+/// package.
 pub fn crate_of(rel_path: &str) -> &str {
-    rel_path
-        .strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("kerberos-limits")
+    match rel_path.strip_prefix("crates/") {
+        Some(rest) => rest.split('/').next().unwrap_or(rest),
+        None if rel_path.starts_with("kbench/") => "kbench",
+        None => "kerberos-limits",
+    }
 }
 
-/// Analyses one Rust source text as `rel_path` within `crate_name`.
-/// Exposed for the fixture tests, which lint files outside the tree.
-pub fn analyze_source(rel_path: &str, crate_name: &str, text: &str) -> Vec<Finding> {
+/// Analyses one Rust source text as `rel_path`. Exposed for the fixture
+/// tests, which lint files outside the tree.
+pub fn analyze_source(rel_path: &str, text: &str) -> Vec<Finding> {
     let tokens = lex(text);
     let is_test_file = rel_path.contains("/tests/")
         || rel_path.contains("/benches/")
         || rel_path.contains("/examples/");
-    let ctx = FileCtx { rel_path, crate_name, is_test_file, tokens: &tokens };
+    let ctx = FileCtx { rel_path, is_test_file, tokens: &tokens };
     let mut findings = check_file(&ctx);
     findings.sort_by_key(|f| (f.line, f.col, f.rule));
     findings
 }
 
-/// Walks the workspace at `root`, lints every `.rs` file and manifest,
-/// and applies `lint-baseline.toml`.
+/// Walks the workspace at `root`, lints every `.rs` file, and applies
+/// `lint-baseline.toml`.
 pub fn run(root: &Path) -> io::Result<Result<Report, BaselineError>> {
     let mut rs_files = Vec::new();
-    let mut manifests = Vec::new();
-    walk(root, root, &mut rs_files, &mut manifests)?;
+    walk(root, root, &mut rs_files)?;
     rs_files.sort();
-    manifests.sort();
 
     let mut all = Vec::new();
-    let files_scanned = rs_files.len() + manifests.len();
-    for rel in &manifests {
-        let text = fs::read_to_string(root.join(rel))?;
-        all.extend(check_manifest(rel, &text));
-    }
+    let files_scanned = rs_files.len();
     let mut sources = Vec::with_capacity(rs_files.len());
     for rel in &rs_files {
         let text = fs::read_to_string(root.join(rel))?;
-        all.extend(analyze_source(rel, crate_of(rel), &text));
+        all.extend(analyze_source(rel, &text));
         sources.push(text);
     }
 
@@ -126,12 +122,7 @@ pub fn run(root: &Path) -> io::Result<Result<Report, BaselineError>> {
     Ok(Ok(Report { active, baselined, stale, files_scanned, flow }))
 }
 
-fn walk(
-    root: &Path,
-    dir: &Path,
-    rs_files: &mut Vec<String>,
-    manifests: &mut Vec<String>,
-) -> io::Result<()> {
+fn walk(root: &Path, dir: &Path, rs_files: &mut Vec<String>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let path = entry.path();
@@ -141,11 +132,9 @@ fn walk(
             if SKIP_DIRS.contains(&name.as_ref()) || name.starts_with('.') {
                 continue;
             }
-            walk(root, &path, rs_files, manifests)?;
+            walk(root, &path, rs_files)?;
         } else if name.ends_with(".rs") {
             rs_files.push(rel_of(root, &path));
-        } else if name == "Cargo.toml" {
-            manifests.push(rel_of(root, &path));
         }
     }
     Ok(())
@@ -190,6 +179,7 @@ fn is_workspace_root(dir: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Rule;
 
     #[test]
     fn crate_attribution() {
@@ -197,13 +187,15 @@ mod tests {
         assert_eq!(crate_of("crates/krb-lint/src/main.rs"), "krb-lint");
         assert_eq!(crate_of("src/lib.rs"), "kerberos-limits");
         assert_eq!(crate_of("tests/attack_matrix_golden.rs"), "kerberos-limits");
+        assert_eq!(crate_of("kbench/src/layers.rs"), "kbench");
     }
 
     #[test]
     fn analyze_source_is_deterministic_and_sorted() {
-        let src = "fn f() { a.unwrap(); b.unwrap(); }";
-        let f = analyze_source("crates/kerberos/src/x.rs", "kerberos", src);
+        let src = "fn f() { a.mac == b.mac; c.cksum != d.cksum; }";
+        let f = analyze_source("crates/kerberos/src/x.rs", src);
         assert_eq!(f.len(), 2);
+        assert!(f.iter().all(|x| x.rule == Rule::C001));
         assert!(f[0].col < f[1].col);
     }
 }

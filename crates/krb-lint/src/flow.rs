@@ -3,14 +3,9 @@
 //! taint engine ([`crate::taint`]).
 //!
 //! [`analyze_workspace`] is the single entry point; it runs S005 plus
-//! the four structural rules that need function bodies rather than raw
+//! the three structural rules that need function bodies rather than raw
 //! tokens:
 //!
-//! - **D003** — a deterministic-crate function reaching (≤3 call hops)
-//!   a wall-clock read *defined outside the governed set*. D001 already
-//!   flags `Instant` lexically inside governed crates; D003 catches the
-//!   laundered form, where the clock lives in `bench` or another exempt
-//!   helper crate and only the call crosses the boundary.
 //! - **P003** — `as u8/u16/u32` on a length-named operand inside an
 //!   encode/decode-path function of a deterministic crate. Wire lengths
 //!   must fail closed (`u32::try_from`), not silently truncate into a
@@ -20,7 +15,7 @@
 //! - **E001** — drift between metric names emitted in code and the
 //!   "Metric name registry" table in DESIGN.md, in both directions.
 
-use crate::callgraph::{FnRef, Graph};
+use crate::callgraph::Graph;
 use crate::config::{
     is_codec_fn, is_len_ident, is_test_path, ALLOC_MACROS, ALLOC_METHODS, ALLOC_TYPES,
     DETERMINISTIC_CRATES, HOT_PATH_FNS, METRIC_EMIT_CALLS, METRIC_REGISTRY_HEADING,
@@ -28,8 +23,8 @@ use crate::config::{
 use crate::diag::{Finding, Rule};
 use crate::lexer::{is_keyword, lex, TokKind, Token};
 use crate::syntax::{parse, FileSyntax, FnInfo};
-use crate::taint::{check_s005, TaintCtx, MAX_HOPS};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::taint::{check_s005, TaintCtx};
+use std::collections::BTreeSet;
 
 /// One workspace file handed to the flow pass.
 pub struct FileInput<'a> {
@@ -71,7 +66,6 @@ pub fn analyze_workspace(
 
     let mut out = Vec::new();
     let taint = check_s005(&ctx, &mut out);
-    check_d003(&ctx, &mut out);
     check_p003(&ctx, &mut out);
     check_a001(&ctx, &mut out);
     check_e001(&ctx, design, &mut out);
@@ -96,99 +90,6 @@ fn production_fns<'a>(
         ctx.parsed[file].fns.iter().enumerate().filter_map(move |(fn_idx, f)| {
             (!skip_file && !f.is_test).then_some((file, rel, krate, fn_idx, f))
         })
-    })
-}
-
-/// D003: governed-crate call chains that end at a wall-clock read in a
-/// non-governed crate.
-fn check_d003(ctx: &TaintCtx<'_>, out: &mut Vec<Finding>) {
-    // Roots: functions whose body reads the clock, defined OUTSIDE the
-    // governed set (inside it, D001 flags the read itself).
-    let mut dist: BTreeMap<FnRef, (usize, FnRef)> = BTreeMap::new();
-    for (file, &(_, krate)) in ctx.files.iter().enumerate() {
-        if DETERMINISTIC_CRATES.contains(&krate) {
-            continue;
-        }
-        for (fn_idx, f) in ctx.parsed[file].fns.iter().enumerate() {
-            if reads_clock(ctx, file, f) {
-                let r = FnRef { file, fn_idx };
-                dist.insert(r, (0, r));
-            }
-        }
-    }
-    if dist.is_empty() {
-        return;
-    }
-    // Bounded relaxation: hop counts up to MAX_HOPS, deterministic by
-    // preferring (fewer hops, smaller root ref).
-    for _ in 0..MAX_HOPS {
-        let mut updates: Vec<(FnRef, (usize, FnRef))> = Vec::new();
-        for (file, &(_, krate)) in ctx.files.iter().enumerate() {
-            for (fn_idx, f) in ctx.parsed[file].fns.iter().enumerate() {
-                let me = FnRef { file, fn_idx };
-                for call in &f.calls {
-                    let Some(callee) = ctx.graph.resolve(call, krate, file) else { continue };
-                    if callee == me {
-                        continue;
-                    }
-                    if let Some(&(d, root)) = dist.get(&callee) {
-                        let cand = (d + 1, root);
-                        if cand.0 <= MAX_HOPS && dist.get(&me).is_none_or(|cur| cand < *cur) {
-                            updates.push((me, cand));
-                        }
-                    }
-                }
-            }
-        }
-        if updates.is_empty() {
-            break;
-        }
-        for (k, v) in updates {
-            let e = dist.entry(k).or_insert(v);
-            if v < *e {
-                *e = v;
-            }
-        }
-    }
-    // Findings: every governed call site whose callee reaches a root.
-    for (file, rel, krate, _, f) in production_fns(ctx) {
-        if !DETERMINISTIC_CRATES.contains(&krate) {
-            continue;
-        }
-        let (toks, sig) = ctx.toks_sig(file);
-        for call in &f.calls {
-            let Some(callee) = ctx.graph.resolve(call, krate, file) else { continue };
-            let Some(&(d, root)) = dist.get(&callee) else { continue };
-            let hops = d + 1;
-            if hops > MAX_HOPS {
-                continue;
-            }
-            let at = &toks[sig[call.name_at]];
-            let root_fn = &ctx.parsed[root.file].fns[root.fn_idx];
-            out.push(Finding {
-                rule: Rule::D003,
-                file: rel.to_string(),
-                line: at.line,
-                col: at.col,
-                message: format!(
-                    "`{}` reaches a wall-clock read in `{}` (crate `{}`, {hops} hop(s) away); \
-                     deterministic crates take time from the simulator clock only",
-                    call.callee,
-                    root_fn.name,
-                    ctx.graph.crate_of(root),
-                ),
-            });
-        }
-    }
-}
-
-/// Whether `f`'s body reads the wall clock (`Instant::now`,
-/// `SystemTime::now`).
-fn reads_clock(ctx: &TaintCtx<'_>, file: usize, f: &FnInfo) -> bool {
-    let (toks, sig) = ctx.toks_sig(file);
-    let t = |k: usize| toks[sig[k]].text;
-    (f.body.0..f.body.1.min(sig.len().saturating_sub(2))).any(|k| {
-        matches!(t(k), "Instant" | "SystemTime") && t(k + 1) == "::" && t(k + 2) == "now"
     })
 }
 
@@ -391,40 +292,6 @@ mod tests {
             .map(|&(rel_path, crate_name, text)| FileInput { rel_path, crate_name, text })
             .collect();
         analyze_workspace(&inputs, design).0
-    }
-
-    #[test]
-    fn d003_flags_laundered_clock_but_not_direct_read() {
-        let gov = "fn tick(x: u32) -> f64 { measure(x) }";
-        let helper = "pub fn measure(x: u32) -> f64 { let t = Instant::now(); t.elapsed() }";
-        let f = run(
-            &[
-                ("crates/kerberos/src/kdc.rs", "kerberos", gov),
-                ("crates/bench/src/lib.rs", "bench", helper),
-            ],
-            None,
-        );
-        assert_eq!(f.iter().filter(|x| x.rule == Rule::D003).count(), 1, "{f:#?}");
-        assert!(f[0].message.contains("measure"));
-        assert!(f[0].message.contains("1 hop"));
-        // The read itself, in the exempt crate, is not D003's business.
-        assert!(!f.iter().any(|x| x.file.contains("bench")));
-    }
-
-    #[test]
-    fn d003_hop_budget() {
-        let gov = "fn tick() { a1(); }";
-        let helper = "pub fn a1() { a2() }\npub fn a2() { a3() }\npub fn a3() { a4() }\n\
-                      pub fn a4() { let _ = Instant::now(); }";
-        let f = run(
-            &[
-                ("crates/kerberos/src/kdc.rs", "kerberos", gov),
-                ("crates/bench/src/lib.rs", "bench", helper),
-            ],
-            None,
-        );
-        // tick → a1 → a2 → a3 → a4 is 4 hops: over budget, silent.
-        assert!(f.iter().all(|x| x.rule != Rule::D003), "{f:#?}");
     }
 
     #[test]

@@ -2,34 +2,36 @@
 //!
 //! A hermetic, dependency-free static analysis pass over the whole
 //! workspace, enforcing the invariants Bellovin & Merritt's attacks
-//! exploit when they are broken:
+//! exploit when they are broken, where clippy cannot see them:
 //!
 //! - **S — secrecy**: key-bearing types must not be formattable; key
-//!   material must not flow into log strings (S001/S002/S003).
+//!   material must not flow into log strings (S001/S002/S003) or trace
+//!   emissions (S004).
 //! - **C — constant time**: key and MAC bytes are compared with
 //!   `krb_crypto::ct_eq`, never `==` (C001).
-//! - **D — determinism**: the simulator, protocol, crypto, and attack
-//!   crates must be pure functions of their inputs — no wall clocks, OS
-//!   sockets, or `RandomState` iteration (D001/D002).
-//! - **P — panic hygiene**: protocol code returns errors; it does not
-//!   `unwrap()` or `panic!` (P001/P002).
-//! - **H — hermeticity**: every dependency is an in-tree path
-//!   dependency (H001), absorbing the PR-1 `verify.sh` grep guard.
 //!
-//! Since PR 9 the linter is flow-aware: a brace-matching syntax layer
+//! Determinism (no wall clock, OS sockets or `RandomState` maps) lives in
+//! the root `clippy.toml`, panic hygiene in each protocol crate root's
+//! `clippy::unwrap_used`/`panic`/… attributes, and hermeticity in
+//! `verify.sh`'s `cargo metadata` check. Their old rule IDs (D001–D003,
+//! P001/P002, H001) are retired, not reused.
+//!
+//! The linter is flow-aware: a brace-matching syntax layer
 //! ([`syntax`]) recovers per-function skeletons from the token stream,
 //! a workspace call graph ([`callgraph`]) resolves intra-tree calls,
 //! and a taint engine ([`taint`]) follows secrets through renames and
 //! up to 3 call hops. On top of these sit S005 (cross-function
-//! secret-to-sink taint), D003 (laundered clock reads), P003
-//! (truncating length casts on codec paths), A001 (hot-path
-//! allocation), and E001 (metric-name drift vs DESIGN.md) — see
-//! [`flow`].
+//! secret-to-sink taint), P003 (truncating length casts on codec
+//! paths), A001 (hot-path allocation), and E001 (metric-name drift vs
+//! DESIGN.md) — see [`flow`].
 //!
 //! The scanner is a hand-rolled line/column-tracking lexer
-//! ([`lexer`]) — no `syn`, per rule H001 itself. Suppressions live in
+//! ([`lexer`]), so the crate has no dependencies. Suppressions live in
 //! `lint-baseline.toml` ([`baseline`]) and every entry must carry a
 //! justification; stale entries fail the run.
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod baseline;
 pub mod callgraph;
@@ -38,7 +40,6 @@ pub mod diag;
 pub mod engine;
 pub mod flow;
 pub mod lexer;
-pub mod manifest;
 pub mod rules;
 pub mod syntax;
 pub mod taint;

@@ -2,22 +2,22 @@
 //!
 //! Exit codes: 0 clean (every finding baselined with a justification,
 //! no stale entries), 1 findings or stale baseline entries, 2 usage or
-//! I/O errors.
+//! I/O errors. The E14/E19 tables come from `cargo run -p bench --bin
+//! table_lint_coverage`.
 
-use bench::TextTable;
-use krb_lint::{Rule, ALL_RULES};
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut report_mode = false;
     let mut root_arg: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--report" => report_mode = true,
             "--root" => root_arg = args.next(),
             "--help" | "-h" => {
-                println!("usage: krb-lint [--report] [--root DIR]");
+                println!("usage: krb-lint [--root DIR]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -46,20 +46,11 @@ fn main() -> ExitCode {
         }
     };
 
-    if report_mode {
-        print_report(&report);
-    }
-
     if !report.active.is_empty() {
-        let mut t = TextTable::new(&["rule", "location", "finding"]);
+        println!("krb-lint: {} finding(s)", report.active.len());
         for f in &report.active {
-            t.row(&[
-                f.rule.id().to_string(),
-                format!("{}:{}:{}", f.file, f.line, f.col),
-                f.message.clone(),
-            ]);
+            println!("  {f}");
         }
-        t.print(&format!("krb-lint: {} finding(s)", report.active.len()));
         println!("(fix the finding, or add a justified [[allow]] entry to lint-baseline.toml)");
     }
     if !report.stale.is_empty() {
@@ -78,48 +69,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// The E14 table: rule × crate violation counts (active + baselined),
-/// plus the rule rationale column.
-fn print_report(report: &krb_lint::Report) {
-    let counts = report.counts_by_rule_and_crate();
-    let mut crates: Vec<String> = counts.values().flat_map(|m| m.keys().cloned()).collect();
-    crates.sort();
-    crates.dedup();
-    let mut headers: Vec<&str> = vec!["rule", "rationale"];
-    for c in &crates {
-        headers.push(c.as_str());
-    }
-    headers.push("total");
-    let mut t = TextTable::new(&headers);
-    for rule in ALL_RULES {
-        let per: &std::collections::BTreeMap<String, usize> = &counts[rule.id()];
-        let mut row = vec![rule.id().to_string(), rule.rationale().to_string()];
-        let mut total = 0usize;
-        for c in &crates {
-            let n = per.get(c).copied().unwrap_or(0);
-            total += n;
-            row.push(if n == 0 { "·".to_string() } else { n.to_string() });
-        }
-        row.push(total.to_string());
-        t.row(&row);
-    }
-    t.print("krb-lint rule × crate violations (E14)");
-    println!(
-        "flow coverage (E19): {} function(s), {} call edge(s), {} taint path(s)",
-        report.flow.functions, report.flow.call_edges, report.flow.taint_paths
-    );
-    print_rule_table_hint(report);
-}
-
-fn print_rule_table_hint(report: &krb_lint::Report) {
-    let active_by_rule = |r: Rule| report.active.iter().filter(|f| f.rule == r).count();
-    let any_active = ALL_RULES.iter().any(|r| active_by_rule(*r) > 0);
-    println!(
-        "active: {}, baselined: {}{}",
-        report.active.len(),
-        report.baselined.len(),
-        if any_active { " — active findings fail the gate" } else { "" }
-    );
 }

@@ -1,6 +1,6 @@
 //! The rule implementations: token-stream walks over one source file.
 //!
-//! Every rule receives a [`FileCtx`] (lexed tokens plus crate identity)
+//! Every rule receives a [`FileCtx`] (lexed tokens plus file identity)
 //! and appends [`Finding`]s. Rules are deliberately lexical — no type
 //! information — so each pattern is tuned against the fixture corpus in
 //! `tests/fixtures/` (one bad and one good example per rule) and against
@@ -8,8 +8,7 @@
 //! the benign-identifier lists in [`crate::config`].
 
 use crate::config::{
-    is_cmp_benign, is_mac_ident, is_secret_ident, DETERMINISTIC_CRATES, FORMAT_MACROS,
-    PANIC_FREE_CRATES, SECRET_TYPES, TRACE_EMIT_CALLS,
+    is_cmp_benign, is_mac_ident, is_secret_ident, FORMAT_MACROS, SECRET_TYPES, TRACE_EMIT_CALLS,
 };
 use crate::diag::{Finding, Rule};
 use crate::lexer::{is_keyword, TokKind, Token};
@@ -18,8 +17,6 @@ use crate::lexer::{is_keyword, TokKind, Token};
 pub struct FileCtx<'a> {
     /// Workspace-relative path (diagnostics use this verbatim).
     pub rel_path: &'a str,
-    /// Owning crate name (`kerberos`, `simnet`, ...).
-    pub crate_name: &'a str,
     /// Whole-file test code: under `tests/`, `benches/`, or `examples/`.
     pub is_test_file: bool,
     /// All tokens, whitespace and comments included.
@@ -119,9 +116,6 @@ pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
     rule_s003_manual_impl(ctx, &sig, &mut out);
     rule_s004_trace_leak(ctx, &sig, &tests, &mut out);
     rule_c001_secret_compare(ctx, &sig, &tests, &mut out);
-    rule_d001_wall_clock(ctx, &sig, &mut out);
-    rule_d002_random_state(ctx, &sig, &tests, &mut out);
-    rule_p001_p002_panic(ctx, &sig, &tests, &mut out);
     out
 }
 
@@ -528,165 +522,42 @@ fn operand_idents<'a>(
     idents
 }
 
-// ---- D001/D002: nondeterminism in deterministic crates ----
-
-fn rule_d001_wall_clock(ctx: &FileCtx<'_>, sig: &[usize], out: &mut Vec<Finding>) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name) {
-        return;
-    }
-    let toks = ctx.tokens;
-    let t = |k: usize| toks[sig[k]].text;
-    for k in 0..sig.len() {
-        if toks[sig[k]].kind != TokKind::Ident {
-            continue;
-        }
-        let name = t(k);
-        let flagged = match name {
-            "SystemTime" | "Instant" => Some(format!(
-                "`{name}` reads the wall clock; deterministic crates must use simnet time"
-            )),
-            "sleep" if k > 1 && t(k - 1) == "::" && t(k - 2) == "thread" => Some(
-                "`thread::sleep` stalls on the OS clock; advance the simulated clock instead"
-                    .to_string(),
-            ),
-            "net" if k > 1 && t(k - 1) == "::" && t(k - 2) == "std" => Some(
-                "`std::net` opens OS sockets; deterministic crates must use simnet".to_string(),
-            ),
-            _ => None,
-        };
-        if let Some(message) = flagged {
-            out.push(ctx.finding(Rule::D001, &toks[sig[k]], message));
-        }
-    }
-}
-
-fn rule_d002_random_state(
-    ctx: &FileCtx<'_>,
-    sig: &[usize],
-    tests: &[(usize, usize)],
-    out: &mut Vec<Finding>,
-) {
-    if !DETERMINISTIC_CRATES.contains(&ctx.crate_name) || ctx.is_test_file {
-        return;
-    }
-    for &si in sig {
-        let tok = &ctx.tokens[si];
-        if tok.kind == TokKind::Ident
-            && matches!(tok.text, "HashMap" | "HashSet")
-            && !in_regions(tests, tok)
-        {
-            out.push(ctx.finding(
-                Rule::D002,
-                tok,
-                format!(
-                    "`{}` iterates in RandomState order; use BTreeMap/BTreeSet so every \
-                     traversal is deterministic",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
-
-// ---- P001/P002: panic hygiene in protocol code ----
-
-fn rule_p001_p002_panic(
-    ctx: &FileCtx<'_>,
-    sig: &[usize],
-    tests: &[(usize, usize)],
-    out: &mut Vec<Finding>,
-) {
-    if !PANIC_FREE_CRATES.contains(&ctx.crate_name)
-        || ctx.is_test_file
-        || !ctx.rel_path.contains("/src/")
-    {
-        return;
-    }
-    let toks = ctx.tokens;
-    let t = |k: usize| toks[sig[k]].text;
-    for k in 0..sig.len() {
-        if toks[sig[k]].kind != TokKind::Ident || in_regions(tests, &toks[sig[k]]) {
-            continue;
-        }
-        let name = t(k);
-        match name {
-            "unwrap" | "expect"
-                if k > 0 && t(k - 1) == "." && k + 1 < sig.len() && t(k + 1) == "(" =>
-            {
-                out.push(ctx.finding(
-                    Rule::P001,
-                    &toks[sig[k]],
-                    format!(
-                        "`.{name}()` can panic in protocol code; return an error or recover \
-                         (for locks: unwrap_or_else(|p| p.into_inner()))"
-                    ),
-                ));
-            }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if k + 1 < sig.len() && t(k + 1) == "!" =>
-            {
-                out.push(ctx.finding(
-                    Rule::P002,
-                    &toks[sig[k]],
-                    format!("`{name}!` aborts protocol code; surface a KrbError instead"),
-                ));
-            }
-            _ => {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn run(crate_name: &str, path: &str, src: &str) -> Vec<Finding> {
+    fn run(path: &str, src: &str) -> Vec<Finding> {
         let tokens = lex(src);
-        let ctx = FileCtx {
-            rel_path: path,
-            crate_name,
-            is_test_file: path.contains("/tests/"),
-            tokens: &tokens,
-        };
+        let ctx =
+            FileCtx { rel_path: path, is_test_file: path.contains("/tests/"), tokens: &tokens };
         check_file(&ctx)
     }
 
     #[test]
     fn cfg_test_blocks_are_exempt() {
         let src = r#"
+            fn f() { if got.mac == want.mac { } }
             #[cfg(test)]
             mod tests {
-                fn f() { x.unwrap(); }
+                fn f() { if got.mac == want.mac { } }
             }
         "#;
-        assert!(run("kerberos", "crates/kerberos/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unwrap_outside_tests_fires() {
-        let src = "fn f() { x.unwrap(); }";
-        let f = run("kerberos", "crates/kerberos/src/x.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::P001);
-    }
-
-    #[test]
-    fn unwrap_or_else_is_not_unwrap() {
-        let src = "fn f() { x.lock().unwrap_or_else(|p| p.into_inner()); }";
-        assert!(run("kerberos", "crates/kerberos/src/x.rs", src).is_empty());
+        let f = run("crates/kerberos/src/x.rs", src);
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!((f[0].rule, f[0].line), (Rule::C001, 2));
     }
 
     #[test]
     fn checksum_type_compare_is_benign() {
         let src = "fn f() { if c.ctype != config.checksum { } }";
-        assert!(run("kerberos", "crates/kerberos/src/x.rs", src).is_empty());
+        assert!(run("crates/kerberos/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn mac_value_compare_fires() {
         let src = "fn f() { if recomputed.value == cksum.value { } }";
-        let f = run("krb-crypto", "crates/krb-crypto/src/x.rs", src);
+        let f = run("crates/krb-crypto/src/x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::C001);
     }
@@ -700,7 +571,7 @@ mod tests {
                 }
             }
         "#;
-        assert!(run("krb-crypto", "crates/krb-crypto/src/x.rs", src).is_empty());
+        assert!(run("crates/krb-crypto/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -708,7 +579,7 @@ mod tests {
         let src = r#"fn f(tr: &Tracer, session_key: &DesKey) {
             tr.emit(EventKind::TicketIssued, 0, vec![("k", Value::bytes(session_key.bytes()))]);
         }"#;
-        let f = run("kerberos", "crates/kerberos/src/x.rs", src);
+        let f = run("crates/kerberos/src/x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, Rule::S004);
     }
@@ -721,28 +592,22 @@ mod tests {
             ]);
             tr.counter("kdc.issued", name, 1);
         }"#;
-        assert!(run("kerberos", "crates/kerberos/src/x.rs", src).is_empty());
+        assert!(run("crates/kerberos/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn non_trace_method_named_like_emit_arg_is_scanned_only_for_trace_calls() {
         // `.push(key)` is not a trace call; S004 must not fire.
         let src = "fn f(v: &mut Vec<u8>, key: u8) { v.push(key); }";
-        assert!(run("kerberos", "crates/kerberos/src/x.rs", src).is_empty());
+        assert!(run("crates/kerberos/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn forbidden_in_strings_and_comments_is_ignored() {
         let src = r#"
-            // SystemTime would be bad; HashMap too
-            fn f() -> &'static str { "Instant HashMap unwrap()" }
+            // println!("{}", session_key) would leak; so would mac == cksum
+            fn f() -> &'static str { "format!(\"{}\", session_key) mac == cksum" }
         "#;
-        assert!(run("simnet", "crates/simnet/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn bench_crate_is_exempt_from_determinism() {
-        let src = "use std::time::Instant; fn f() { let _ = Instant::now(); }";
-        assert!(run("bench", "crates/bench/src/lib.rs", src).is_empty());
+        assert!(run("crates/kerberos/src/x.rs", src).is_empty());
     }
 }

@@ -1,7 +1,8 @@
 //! The syntax layer: a brace-matching pass over the lexer's token
 //! stream that recovers the module/item tree and, for every function, a
 //! structural skeleton — parameter list, `let` bindings, call
-//! expressions — without type information and without `syn` (rule H001).
+//! expressions — without type information and without `syn` (krb-lint
+//! has no dependencies).
 //!
 //! Like the lexer it is total: any token soup parses without panicking.
 //! Items whose delimiters never balance are simply dropped, so the

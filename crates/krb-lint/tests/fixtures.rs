@@ -3,34 +3,22 @@
 //! Every rule has a `bad` example (must fire that rule, output matched
 //! byte-for-byte against `expected.txt`) and a `good` example (must lint
 //! clean). Each fixture is analysed as if it sat at
-//! `crates/kerberos/src/<RULE>_bad.rs` — the most heavily governed
-//! location: `kerberos` is both a deterministic and a panic-free crate,
-//! and `/src/` puts it in P001 scope — so a rule that regresses shows up
-//! here before it shows up in the tree.
+//! `crates/kerberos/src/<RULE>_bad.rs` — production code of a
+//! deterministic crate, the most heavily governed location — so a rule
+//! that regresses shows up here before it shows up in the tree.
 //!
 //! Regenerate the goldens with `KRB_LINT_BLESS=1 cargo test -p krb-lint
 //! --test fixtures` after an intentional diagnostic change.
 
-use krb_lint::manifest::check_manifest;
 use krb_lint::{analyze_source, analyze_workspace, FileInput, Rule};
 use std::fs;
 use std::path::PathBuf;
 
-const SOURCE_RULES: &[Rule] = &[
-    Rule::S001,
-    Rule::S002,
-    Rule::S003,
-    Rule::S004,
-    Rule::C001,
-    Rule::D001,
-    Rule::D002,
-    Rule::P001,
-    Rule::P002,
-];
+const SOURCE_RULES: &[Rule] = &[Rule::S001, Rule::S002, Rule::S003, Rule::S004, Rule::C001];
 
 /// Rules of the flow pass (`analyze_workspace`): their fixtures form a
 /// miniature workspace instead of a lone file.
-const FLOW_RULES: &[Rule] = &[Rule::S005, Rule::D003, Rule::P003, Rule::A001, Rule::E001];
+const FLOW_RULES: &[Rule] = &[Rule::S005, Rule::P003, Rule::A001, Rule::E001];
 
 fn fixture_dir(rule: Rule) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(rule.id())
@@ -48,7 +36,7 @@ fn read(rule: Rule, name: &str) -> String {
 fn lint_fixture(rule: Rule, name: &str) -> Vec<String> {
     let text = read(rule, name);
     let rel = format!("crates/kerberos/src/{}_{}", rule.id(), name);
-    analyze_source(&rel, "kerberos", &text).iter().map(|f| f.to_string()).collect()
+    analyze_source(&rel, &text).iter().map(|f| f.to_string()).collect()
 }
 
 #[test]
@@ -93,18 +81,11 @@ fn good_examples_lint_clean() {
 
 /// Runs the flow pass over a miniature workspace: the fixture itself
 /// placed in the kerberos crate's `src/` (deterministic + hot-path
-/// governed), plus the rule's optional `helper.rs` (a file in the
-/// non-governed `bench` crate — D003's clock launderer lives there)
-/// and optional `design.md` (E001's registry).
+/// governed), plus the rule's optional `design.md` (E001's registry).
 fn lint_flow_fixture(rule: Rule, name: &str) -> Vec<String> {
     let text = read(rule, name);
     let rel = format!("crates/kerberos/src/{}_{name}", rule.id());
-    let helper = fs::read_to_string(fixture_dir(rule).join("helper.rs")).ok();
-    let helper_rel = format!("crates/bench/src/{}_helper.rs", rule.id());
-    let mut inputs = vec![FileInput { rel_path: &rel, crate_name: "kerberos", text: &text }];
-    if let Some(h) = &helper {
-        inputs.push(FileInput { rel_path: &helper_rel, crate_name: "bench", text: h });
-    }
+    let inputs = [FileInput { rel_path: &rel, crate_name: "kerberos", text: &text }];
     let design = fs::read_to_string(fixture_dir(rule).join("design.md")).ok();
     let (findings, _) = analyze_workspace(&inputs, design.as_deref().map(|d| ("DESIGN.md", d)));
     findings.iter().map(|f| f.to_string()).collect()
@@ -155,43 +136,13 @@ fn flow_good_examples_lint_clean() {
     }
 }
 
-#[test]
-fn h001_manifest_fixtures() {
-    let bless = std::env::var_os("KRB_LINT_BLESS").is_some();
-    let bad = read(Rule::H001, "bad.toml");
-    let findings = check_manifest("crates/kerberos/Cargo.toml", &bad);
-    assert!(
-        findings.iter().all(|f| f.rule == Rule::H001) && !findings.is_empty(),
-        "H001/bad.toml must trigger H001; got: {findings:#?}"
-    );
-    let rendered: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
-    let golden_path = fixture_dir(Rule::H001).join("expected.txt");
-    let actual = rendered.join("\n") + "\n";
-    if bless {
-        fs::write(&golden_path, &actual).expect("write golden");
-    } else {
-        let expected = fs::read_to_string(&golden_path)
-            .unwrap_or_else(|e| panic!("golden {} missing: {e}", golden_path.display()));
-        assert_eq!(actual, expected, "H001/bad.toml diagnostics drifted from expected.txt");
-    }
-
-    let good = read(Rule::H001, "good.toml");
-    let clean = check_manifest("crates/kerberos/Cargo.toml", &good);
-    assert!(clean.is_empty(), "H001/good.toml must lint clean; got: {clean:#?}");
-}
-
 /// The corpus itself is complete: every rule has its pair of examples on
 /// disk, so adding a rule without fixtures fails loudly.
 #[test]
 fn every_rule_has_fixtures() {
     for &rule in krb_lint::ALL_RULES {
         let dir = fixture_dir(rule);
-        let (bad, good) = if rule == Rule::H001 {
-            ("bad.toml", "good.toml")
-        } else {
-            ("bad.rs", "good.rs")
-        };
-        assert!(dir.join(bad).is_file(), "missing {}/{bad}", rule.id());
-        assert!(dir.join(good).is_file(), "missing {}/{good}", rule.id());
+        assert!(dir.join("bad.rs").is_file(), "missing {}/bad.rs", rule.id());
+        assert!(dir.join("good.rs").is_file(), "missing {}/good.rs", rule.id());
     }
 }

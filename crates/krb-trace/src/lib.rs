@@ -21,6 +21,9 @@
 //! (`c -> tgs: {A_c}K_{c,tgs}, T_{c,tgs} ...`) with the adversary's taps
 //! and injections interleaved.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 pub mod event;
 pub mod jsonl;
 pub mod metrics;

@@ -5,7 +5,7 @@
 //! context, client helper, and attack harness — all clones feed the
 //! same core, so the trace is a single totally-ordered record of the
 //! run.  The core is guarded by a `Mutex` with poisoning recovery (the
-//! panic-free rules P001/P002 apply to this crate; a poisoned lock must
+//! crate-root panic lints apply to this crate; a poisoned lock must
 //! not cascade).
 //!
 //! Tracing is *purely observational*: no method consumes randomness or

@@ -16,6 +16,9 @@
 //! - **Blind spoofing** — [`stream`] reproduces the 4.2BSD
 //!   predictable-ISN stream layer of Morris '85.
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 //! - **Environment faults** — a seeded [`fault::FaultPlan`] injects
 //!   loss, duplication, reordering, delay, corruption, partitions, and
 //!   host crash/restart events, deterministically and distinctly from

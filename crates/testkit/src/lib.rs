@@ -1,12 +1,12 @@
 //! # testkit
 //!
 //! Hermetic, in-tree test infrastructure for the kerberos-limits
-//! workspace — the replacement for the `rand`, `proptest`, `criterion`,
-//! and `parking_lot` crates-io dependencies, so `cargo build --release
+//! workspace — the replacement for the `rand`, `proptest`, and
+//! `parking_lot` crates-io dependencies, so `cargo build --release
 //! && cargo test -q` succeeds with the network disabled and produces
 //! bit-for-bit identical results across runs.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! - [`rng`] — [`TestRng`](rng::TestRng), a deterministic splittable
 //!   PRNG built on `krb-crypto`'s SplitMix64 `Drbg`. Root seed from
@@ -14,8 +14,10 @@
 //! - [`prop`] — a property-testing mini-framework: strategies for
 //!   integers, vectors, options, strings and unions, the [`prop!`]
 //!   macro, configurable case counts, and greedy shrinking.
-//! - [`bench`] — a wall-clock bench harness (warmup + N samples,
-//!   median/p95, JSON reports under `target/testkit-bench/`).
+//!
+//! `attacks` and `krb-fuzz` draw their randomness from [`TestRng`] at
+//! run time, so testkit reads no clock: the wall-clock bench harness
+//! lives in the `bench` crate.
 //!
 //! ## Replaying a failure
 //!
@@ -30,7 +32,6 @@
 //! Setting `TESTKIT_SEED` regenerates the identical case sequence;
 //! `TESTKIT_CASES` scales how many cases every property runs.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 

@@ -3,14 +3,12 @@
 #
 #   scripts/lint.sh            gate mode: exit 0 iff zero active findings
 #                              and zero stale baseline entries
-#   scripts/lint.sh --report   also print the rule × crate violation
-#                              table (the numbers EXPERIMENTS.md E14
-#                              records) and the flow-pass coverage
-#                              counters — functions analysed, call
-#                              edges resolved, taint paths walked (E19;
-#                              `cargo run -p krb-lint --bin
-#                              table_lint_coverage` writes the same
-#                              numbers to BENCH_lint.json)
+#
+# The rule × crate violation table (EXPERIMENTS.md E14) and the
+# flow-pass coverage counters (E19) come from `cargo run -p bench --bin
+# table_lint_coverage`, which also writes BENCH_lint.json. Determinism
+# and panic hygiene are checked by clippy (clippy.toml and the crate-root
+# lint attributes), not here.
 #
 # Suppressions live in lint-baseline.toml; every entry needs a
 # justification, and entries matching no current finding fail the run,

@@ -1,58 +1,60 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline:
-#   1. static invariants — krb-lint (secrecy, constant-time, determinism,
-#      panic hygiene, hermeticity) with a justified-suppression baseline
-#   2. release build of every target (including benches)
-#   3. clippy, warnings denied
-#   4. full test suite
+#   1. hermeticity — cargo resolves nothing but in-tree path packages
+#   2. static invariants — krb-lint (secrecy, constant-time compare,
+#      wire-length casts, hot-path allocations, metric names) with a
+#      justified-suppression baseline
+#   3. release build of every target (including benches)
+#   4. clippy, warnings denied — this also enforces determinism
+#      (clippy.toml) and panic hygiene (crate-root lint attributes)
+#   5. full test suite, then the experiment smoke runs below
 #
 # Usage: scripts/verify.sh   (from anywhere; cd's to the repo root)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== static invariants (krb-lint) =="
-# Rules S001-S003 (secrecy), C001 (constant-time compare), D001/D002
-# (determinism), P001/P002 (panic hygiene), plus the flow-aware pass
-# (S005 cross-function secret taint, D003 laundered clock reads, P003
-# truncating length casts, A001 hot-path allocations, E001 metric-name
-# drift against DESIGN.md), H001 (hermeticity — this
-# subsumes the grep-based dependency guard verify.sh carried since PR 1:
-# a crates-io or git dependency is now reported as an H001 finding with
-# the manifest file:line and the offending entry named).
-# A non-path dependency can break cargo's own resolution before the
-# lint gets to run (offline, nothing to fetch) — in that case fall back
-# to an already-built krb-lint binary so the failure still names the
-# offending manifest line as an H001 finding.
-if ! cargo run -q --offline -p krb-lint 2>lint_stderr.tmp; then
-    cat lint_stderr.tmp; rm -f lint_stderr.tmp
-    for bin in target/debug/krb-lint target/release/krb-lint; do
-        if [ -x "$bin" ]; then
-            "$bin" --root . || true
-            break
-        fi
+# Runs `bench --bin $1` twice: BENCH_$2.json must come out byte-identical
+# across the two same-input runs and contain each remaining argument.
+double_run() {
+    local bin="$1" json="BENCH_$2.json"
+    shift 2
+    cargo run --release --offline -p bench --bin "$bin"
+    cp "$json" "$json.run1"
+    cargo run --release --offline -p bench --bin "$bin"
+    diff "$json.run1" "$json" \
+        || { echo "$json not byte-identical across same-input runs"; exit 1; }
+    rm -f "$json.run1"
+    for pattern in "$@"; do
+        grep -q "$pattern" "$json" || { echo "$json missing $pattern"; exit 1; }
     done
-    echo "krb-lint gate failed — fix the findings above, or add a"
-    echo "justified [[allow]] entry to lint-baseline.toml (H001 findings"
-    echo "mean a non-path dependency: the build must stay hermetic)"
-    exit 1
-fi
-rm -f lint_stderr.tmp
-# Belt and braces: cargo's own view must agree (exactly the workspace
-# members, nothing fetched).
-if command -v python3 >/dev/null 2>&1; then
-    cargo metadata --format-version 1 --offline \
-        | python3 -c '
-import json, sys
-meta = json.load(sys.stdin)
-external = [p["name"] for p in meta["packages"] if p["source"] is not None]
-if external:
-    sys.exit("external packages in cargo metadata: %s" % ", ".join(sorted(set(external))))
-'
-else
-    echo "(python3 not found; skipping cargo-metadata cross-check)"
-fi
+}
+
+echo "== hermeticity (cargo metadata) =="
+# Every package cargo resolves, for the workspace and for the standalone
+# benchmark package, must be an in-tree path package: anything else
+# carries a "source". Offline, a dependency outside the lockfile fails
+# resolution outright; capturing the output first lets that failure stop
+# the script (inside `if ... | grep` it would be swallowed).
+for manifest in Cargo.toml kbench/Cargo.toml; do
+    meta="$(cargo metadata --format-version 1 --offline --manifest-path "$manifest")"
+    if grep -q '"source":"' <<<"$meta"; then
+        echo "$manifest: cargo resolves a non-path package; the build must stay hermetic"
+        exit 1
+    fi
+done
 echo "ok: all dependencies are in-tree path dependencies"
+
+echo "== static invariants (krb-lint) =="
+# S001-S005 (secrecy, including the flow-aware cross-function taint),
+# C001 (constant-time compare), P003 (truncating wire-length casts),
+# A001 (hot-path allocations), E001 (metric-name drift against
+# DESIGN.md).
+cargo run -q --offline -p krb-lint || {
+    echo "krb-lint gate failed — fix the findings above, or add a"
+    echo "justified [[allow]] entry to lint-baseline.toml"
+    exit 1
+}
 
 echo "== release build (all targets) =="
 cargo build --workspace --release --all-targets --offline
@@ -102,50 +104,27 @@ grep -q '"preauth_storm.legit_ok"' BENCH_gateway.json \
 echo "== cluster scale smoke (E18, quick mode, byte-identical JSON) =="
 # The sharded-cluster bench in quick mode: provisions the population,
 # gates the batched 4-shard aggregate at >=2x the single-KDC baselines,
-# and survives a shard-primary crash mid-workload. Runs twice: the
-# deterministic report must be byte-identical across same-seed runs.
-CLUSTER_SCALE_QUICK=1 cargo run --release --offline -p bench --bin table_cluster_scale
-cp BENCH_cluster.json BENCH_cluster.json.run1
-CLUSTER_SCALE_QUICK=1 cargo run --release --offline -p bench --bin table_cluster_scale
-diff BENCH_cluster.json.run1 BENCH_cluster.json \
-    || { echo "BENCH_cluster.json not byte-identical across same-seed runs"; exit 1; }
-rm -f BENCH_cluster.json.run1
-grep -q '"speedup_gate": "pass"' BENCH_cluster.json \
-    || { echo "BENCH_cluster.json missing speedup gate pass"; exit 1; }
+# and survives a shard-primary crash mid-workload. The deterministic
+# report must be byte-identical across same-seed runs.
+CLUSTER_SCALE_QUICK=1 double_run table_cluster_scale cluster '"speedup_gate": "pass"'
 
-echo "== lint coverage (E19, byte-identical JSON) =="
-# The flow-aware lint over the whole tree, twice: BENCH_lint.json holds
-# only deterministic counts (findings per rule, functions, call edges,
-# taint paths — the wall clock goes to stdout only), so two runs over
-# the same tree must produce byte-identical reports, and the tree must
-# be clean (every finding fixed or baselined with a justification).
-cargo run --release --offline -p krb-lint --bin table_lint_coverage
-cp BENCH_lint.json BENCH_lint.json.run1
-cargo run --release --offline -p krb-lint --bin table_lint_coverage
-diff BENCH_lint.json.run1 BENCH_lint.json \
-    || { echo "BENCH_lint.json not byte-identical across same-tree runs"; exit 1; }
-rm -f BENCH_lint.json.run1
-grep -q '"clean": true' BENCH_lint.json \
-    || { echo "BENCH_lint.json reports active findings"; exit 1; }
+echo "== lint coverage (E14/E19, byte-identical JSON) =="
+# The lint over the whole tree: BENCH_lint.json holds only deterministic
+# counts (findings per rule, functions, call edges, taint paths — the
+# wall clock goes to stdout only), so two runs over the same tree must
+# produce byte-identical reports, and the tree must be clean (every
+# finding fixed or baselined with a justification).
+double_run table_lint_coverage lint '"clean": true'
 
 echo "== intrusion detection (E20, gates + byte-identical JSON) =="
 # The default krb-ids rule set over the full attack matrix, stealth
-# variants, benign and fault-heavy workloads. Twice: detection is a
-# pure function of the deterministic wire, so BENCH_ids.json must be
+# variants, benign and fault-heavy workloads. Detection is a pure
+# function of the deterministic wire, so BENCH_ids.json must be
 # byte-identical across same-seed runs; then both gates (every designed
 # detector pair fired with >=90% on loud variants; zero alerts on the
 # zero-fault benign workload). The pinned A1/V4 alert-stream golden
 # rides with the test suite (alert_golden).
-cargo run --release --offline -p bench --bin table_ids_matrix
-cp BENCH_ids.json BENCH_ids.json.run1
-cargo run --release --offline -p bench --bin table_ids_matrix
-diff BENCH_ids.json.run1 BENCH_ids.json \
-    || { echo "BENCH_ids.json not byte-identical across same-seed runs"; exit 1; }
-rm -f BENCH_ids.json.run1
-grep -q '"detection_gate": "pass"' BENCH_ids.json \
-    || { echo "BENCH_ids.json missing detection gate pass"; exit 1; }
-grep -q '"fp_gate": "pass"' BENCH_ids.json \
-    || { echo "BENCH_ids.json missing false-positive gate pass"; exit 1; }
+double_run table_ids_matrix ids '"detection_gate": "pass"' '"fp_gate": "pass"'
 
 echo "== chaos soak (pinned fault seeds) =="
 # Liveness + safety under a faulted network: ≥5 pinned seeds at ≥10%

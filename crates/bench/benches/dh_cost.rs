@@ -1,5 +1,6 @@
-//! E4 (bench half) — modular exponentiation cost per DH group, and the
-//! full-exchange overhead the login DH layer adds.
+//! E4 (bench half) — modular exponentiation cost per DH group, the
+//! full-exchange overhead the login DH layer adds, and the attacker's
+//! discrete-log cost at every point of `table_dh_tradeoff`'s curves.
 
 use bench::bench::Harness;
 use krb_crypto::bignum::mod_exp;
@@ -28,11 +29,21 @@ fn bench_full_exchange(h: &mut Harness) {
 
 fn bench_dlog_attack(h: &mut Harness) {
     let g = DhGroup::toy64();
-    for bits in [16usize, 20, 24] {
+    for bits in [16usize, 20, 24, 28] {
         let mut rng = Drbg::new(6);
         let kp = g.keypair(bits, &mut rng).unwrap();
         h.run(&format!("dlog_bsgs/{bits}"), || {
             krb_crypto::dlog::bsgs(&g.g, &kp.public, &g.p, 1u64 << bits).unwrap()
+        });
+    }
+    for bits in [14usize, 18, 21] {
+        let mut rng = Drbg::new(0x200 + bits as u64);
+        let sub = DhGroup::generate_safe(bits, &mut rng).unwrap();
+        let q = sub.order.clone().unwrap();
+        let secret = krb_crypto::bignum::random_below(&q, &mut rng);
+        let pubkey = mod_exp(&sub.g, &secret, &sub.p).unwrap();
+        h.run(&format!("dlog_rho/{bits}"), || {
+            krb_crypto::dlog::pollard_rho(&sub.g, &pubkey, &sub.p, &q, &mut rng)
         });
     }
 }

@@ -1,9 +1,10 @@
 //! E6 — encryption-layer throughput: V4 PCBC vs Draft-3 CBC(+confounder)
-//! vs hardened CBC+MAC, across message sizes.
+//! vs hardened CBC+MAC, across message sizes; and E13's one DES block,
+//! fused SP-table kernel vs the retained reference.
 
 use bench::bench::{Harness, Throughput};
 use kerberos::enclayer::EncLayer;
-use krb_crypto::des::DesKey;
+use krb_crypto::des::{self, DesKey, KeySchedule};
 use krb_crypto::rng::Drbg;
 
 const LAYERS: [(&str, EncLayer); 3] = [
@@ -59,8 +60,16 @@ fn bench_checksums(h: &mut Harness) {
     }
 }
 
+fn bench_des_block(h: &mut Harness) {
+    let ks = KeySchedule::new(&DesKey::from_u64(0x0123456789ABCDEF));
+    let block = 0x4E6F772069732074u64;
+    h.run("des_block/fast", || des::encrypt_block(&ks, std::hint::black_box(block)));
+    h.run("des_block/reference", || des::reference::encrypt_block(&ks, std::hint::black_box(block)));
+}
+
 fn main() {
     let mut h = Harness::new("enc_layer");
+    bench_des_block(&mut h);
     bench_seal(&mut h);
     bench_open(&mut h);
     bench_checksums(&mut h);

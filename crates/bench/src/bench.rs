@@ -1,22 +1,23 @@
-//! A lightweight wall-clock bench harness for the `benches/*` suites,
-//! replacing `criterion`.
+//! The one place in the repository (besides kbench and the root
+//! package's examples) that reads the wall clock: a lightweight
+//! sampling harness for the `benches/*` suites, replacing `criterion`.
 //!
-//! Model: per benchmark, a warmup phase calibrates how many iterations
-//! fit in one sample window, then `samples` timed batches are taken and
+//! Model: per benchmark, a 100 ms warmup calibrates how many iterations
+//! fit in one 10 ms sample window, then 30 timed batches are taken and
 //! reduced to min / median / p95 / mean nanoseconds per iteration. Each
 //! suite prints an aligned text table and writes a JSON report to
-//! `target/testkit-bench/<suite>.json` so the experiment tables in
-//! EXPERIMENTS.md can be regenerated and diffed mechanically.
-//!
-//! Environment knobs:
-//!
-//! - `TESTKIT_BENCH_SAMPLES` — timed batches per benchmark (default 30)
-//! - `TESTKIT_BENCH_WARMUP_MS` — warmup per benchmark (default 100)
-//! - `TESTKIT_BENCH_SAMPLE_MS` — target wall time per batch (default 10)
-//! - `TESTKIT_BENCH_QUICK=1` — CI preset (5 samples, 5 ms / 2 ms)
-//! - `TESTKIT_BENCH_JSON=1` — also print the JSON report to stdout
+//! `target/testkit-bench/<suite>.json`.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the sampling harness is the workspace's single wall-clock reader; clippy.toml bans it everywhere else"
+)]
 
 use std::time::{Duration, Instant};
+
+const SAMPLES: usize = 30;
+const WARMUP: Duration = Duration::from_millis(100);
+const SAMPLE_TARGET: Duration = Duration::from_millis(10);
 
 /// Work-per-iteration annotation, for derived throughput columns.
 #[derive(Clone, Copy, Debug)]
@@ -92,20 +93,14 @@ pub struct Harness {
     results: Vec<BenchResult>,
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|s| s.trim().parse().ok()).unwrap_or(default)
-}
-
 impl Harness {
     /// A harness for one suite (usually one `benches/*.rs` file).
     pub fn new(suite: &str) -> Self {
-        let quick = std::env::var("TESTKIT_BENCH_QUICK").map(|v| v == "1").unwrap_or(false);
-        let (def_samples, def_warmup, def_sample) = if quick { (5, 5, 2) } else { (30, 100, 10) };
         Harness {
             suite: suite.to_string(),
-            samples: env_u64("TESTKIT_BENCH_SAMPLES", def_samples) as usize,
-            warmup: Duration::from_millis(env_u64("TESTKIT_BENCH_WARMUP_MS", def_warmup)),
-            sample_target: Duration::from_millis(env_u64("TESTKIT_BENCH_SAMPLE_MS", def_sample)),
+            samples: SAMPLES,
+            warmup: WARMUP,
+            sample_target: SAMPLE_TARGET,
             results: Vec::new(),
         }
     }
@@ -226,9 +221,6 @@ impl Harness {
             self.suite,
             self.results.iter().map(BenchResult::json).collect::<Vec<_>>().join(",")
         );
-        if std::env::var("TESTKIT_BENCH_JSON").map(|v| v == "1").unwrap_or(false) {
-            println!("{json}");
-        }
         let dir = std::path::Path::new("target").join("testkit-bench");
         if std::fs::create_dir_all(&dir).is_ok() {
             let path = dir.join(format!("{}.json", self.suite));

@@ -1,157 +1,38 @@
-//! E18: million-principal sharded KDC cluster with batched AS/TGS
-//! processing.
+//! E18: million-principal sharded KDC cluster.
 //!
-//! Three phases:
+//! Two phases, both deterministic:
 //!
-//! - **Provision** (deterministic): bulk-provisions the principal
-//!   population into a 4-shard [`ShardedDatabase`] via the cached
-//!   string-to-key path and reports per-shard occupancy and load skew
-//!   (max/mean, thousandths).
-//! - **Throughput** (wall clock, stdout only): pre-builds a seeded
-//!   mixed AS/TGS request stream, drives each shard's [`Kdc`] through
-//!   [`Kdc::handle_batch`] off-network, and compares the cluster
-//!   aggregate (sum of independent per-shard rates — shards are
-//!   separate hosts in deployment) against TWO single-KDC baselines:
-//!   the same request stream through one sequential full-database KDC,
-//!   and E13's full-login-loop methodology. Gate: aggregate >= 2x the
-//!   better baseline, else exit(1).
-//! - **Cluster sim** (deterministic, feeds `BENCH_cluster.json`): a
-//!   small same-seed simnet deployment — shard primaries + replicas
-//!   behind the shard-aware gateway — runs a mixed AS/TGS/AP workload
-//!   while shard 0's primary crash-restarts mid-run. Outcome counts,
-//!   gateway failovers, and the metrics snapshot land in the JSON; the
-//!   phase runs twice and the report gates on byte-identity.
+//! - **Provision**: bulk-provisions the principal population into a
+//!   4-shard [`ShardedDatabase`] via the cached string-to-key path and
+//!   reports per-shard occupancy and load skew (max/mean, thousandths).
+//! - **Cluster sim**: a small same-seed simnet deployment — shard
+//!   primaries + replicas behind the shard-aware gateway — runs a mixed
+//!   AS/TGS/AP workload while shard 0's primary crash-restarts mid-run.
+//!   Outcome counts, gateway failovers, and the metrics snapshot land in
+//!   `BENCH_cluster.json`; the phase runs twice and the bin gates on
+//!   identical outcomes.
 //!
-//! Wall-clock rates never enter the JSON, so two same-seed runs write
-//! byte-identical `BENCH_cluster.json`.
+//! The wall cost of provisioning and of the cluster is kbench's
+//! `cluster_faults` workload (`setup_s`, `kerberos.database.*`).
 
-use std::collections::BTreeMap;
+use bench::{BenchJson, TextTable};
 
-use bench::{time_us, BenchJson, TextTable};
-
-use attacks::env::AttackEnv;
 use kerberos::appserver::connect_app;
 use kerberos::client::{login_at, LoginInput, TgsParams};
-use kerberos::encoding::MsgType;
-use kerberos::flags::KdcOptions;
 use kerberos::get_service_ticket_at;
-use kerberos::messages::{deframe, AsRep, AsReq, EncKdcRepPart, TgsReq, WireKind};
-use kerberos::testbed::{deploy_cluster, CLIENT_PORT};
-use kerberos::{
-    bulk_password, shard_for, Authenticator, Kdc, Principal, ProtocolConfig, ShardedDatabase,
-};
-use krb_crypto::checksum;
+use kerberos::testbed::deploy_cluster;
+use kerberos::{bulk_password, Principal, ProtocolConfig, ShardedDatabase};
 use krb_crypto::rng::{Drbg, RandomSource};
-use krb_crypto::s2k;
 use krb_gateway::{GatewayConfig, PenaltyConfig, ShedPolicy};
 use krb_trace::MetricsSnapshot;
-use simnet::{
-    Addr, Endpoint, FaultPlan, Network, Service, ServiceCtx, SimDuration, SimTime,
-};
+use simnet::{FaultPlan, Network, SimDuration, SimTime};
 
 const SHARDS: usize = 4;
+const PRINCIPALS: usize = 1_000_000;
+const SIM_USERS: usize = 96;
+const SIM_ROUNDS: usize = 48;
 const SEED: u64 = 0xE18;
 const REALM: &str = "ATHENA.MIT.EDU";
-/// Fixed "now" for the off-network batched phase: KDC and request
-/// timestamps agree, well inside clock skew.
-const NOW_US: u64 = 3_600_000_000;
-
-/// Builds the provisioned sharded database (TGS + app service keys
-/// drawn from a seed-fixed DRBG so every copy built from the same seed
-/// agrees).
-fn provision(config: &ProtocolConfig, shards: usize, principals: usize) -> (ShardedDatabase, Principal) {
-    let mut rng = Drbg::new(SEED);
-    let mut db = ShardedDatabase::new(REALM, shards);
-    db.add_tgs(rng.gen_des_key());
-    let files = db.add_service("files", "fileshost", rng.gen_des_key());
-    db.bulk_add_users("u", principals);
-    let _ = config;
-    (db, files)
-}
-
-/// The deterministic per-user source endpoint AS requests are stamped
-/// with (tickets are address-bound; the TGS leg must match).
-fn user_ep(idx: u64) -> Endpoint {
-    Endpoint::new(
-        Addr::new(10, 9, ((idx >> 8) % 250) as u8, (idx % 250 + 1) as u8),
-        CLIENT_PORT,
-    )
-}
-
-fn build_as_req(config: &ProtocolConfig, client: &Principal, ep: Endpoint, nonce: u64) -> Vec<u8> {
-    AsReq {
-        client: client.clone(),
-        service: Principal::tgs(REALM),
-        nonce,
-        lifetime_us: config.ticket_lifetime_us,
-        addr: ep.addr.0,
-        options: KdcOptions::empty().with(KdcOptions::FORWARDABLE).with(KdcOptions::RENEWABLE),
-        padata: Vec::new(),
-    }
-    .encode(config.codec)
-}
-
-/// Runs an untimed AS exchange against `kdc` and builds a TGS request
-/// for `service` from the resulting TGT — the client-side half of the
-/// mixed workload, kept out of the timed sections.
-fn build_tgs_req(
-    config: &ProtocolConfig,
-    kdc: &mut Kdc,
-    ctx: &mut ServiceCtx,
-    client: &Principal,
-    ep: Endpoint,
-    service: &Principal,
-    rng: &mut dyn RandomSource,
-) -> Vec<u8> {
-    let as_req = build_as_req(config, client, ep, rng.next_u64());
-    let reply = kdc.handle(ctx, &as_req, ep).expect("AS reply");
-    let rep = AsRep::decode(config.codec, &reply).expect("AS reply decodes");
-    let kc = s2k::string_to_key_v5(&bulk_password(&client.name), &client.salt());
-    let part_bytes = config.ticket_layer.open(&kc, 0, &rep.enc_part).expect("enc part opens");
-    let part = EncKdcRepPart::decode(config.codec, MsgType::EncAsRepPart, &part_bytes)
-        .expect("rep part decodes");
-
-    let mut req = TgsReq {
-        tgt: part.ticket,
-        authenticator: Vec::new(),
-        service: service.clone(),
-        options: KdcOptions::empty(),
-        nonce: rng.next_u64(),
-        lifetime_us: config.ticket_lifetime_us,
-        additional_ticket: None,
-        forward_addr: None,
-        authz_data: Vec::new(),
-    };
-    let key_opt = config.checksum.is_keyed().then_some(&part.session_key);
-    let cksum = checksum::compute(config.checksum, key_opt, &req.checksum_body())
-        .expect("checksum computes");
-    let auth = Authenticator {
-        client: client.clone(),
-        addr: ep.addr.0,
-        timestamp: NOW_US,
-        cksum: Some(cksum),
-        service_binding: config.service_binding.then(|| service.clone()),
-        subkey: None,
-        seq_init: None,
-    };
-    req.authenticator = auth
-        .seal(config.codec, config.ticket_layer, &part.session_key, rng)
-        .expect("authenticator seals");
-    req.encode(config.codec)
-}
-
-/// Counts reply kinds: `(ok, errors)`.
-fn tally(replies: &[Vec<u8>]) -> (u64, u64) {
-    let mut ok = 0;
-    let mut errors = 0;
-    for r in replies {
-        match deframe(r) {
-            Ok((WireKind::AsRep | WireKind::TgsRep, _)) => ok += 1,
-            _ => errors += 1,
-        }
-    }
-    (ok, errors)
-}
 
 /// Outcome counts from one deterministic cluster-sim run.
 #[derive(Default)]
@@ -180,13 +61,13 @@ fn open_gateway() -> GatewayConfig {
     }
 }
 
-/// Phase C: deploys the cluster on a fresh simnet, crashes shard 0's
+/// Deploys the cluster on a fresh simnet, crashes shard 0's
 /// primary mid-workload, and drives a seeded mixed AS/TGS/AP workload
 /// through the gateway. Fully deterministic for a given seed.
-fn run_cluster_sim(config: &ProtocolConfig, users: usize, rounds: usize, seed: u64) -> WorkloadOutcome {
+fn run_cluster_sim(config: &ProtocolConfig, seed: u64) -> WorkloadOutcome {
     let mut net = Network::new();
     let cluster =
-        deploy_cluster(&mut net, REALM, 1, config, SHARDS, 1, users, 8, &["files"], open_gateway(), seed);
+        deploy_cluster(&mut net, REALM, 1, config, SHARDS, 1, SIM_USERS, 8, &["files"], open_gateway(), seed);
 
     // Shard 0's primary dies mid-workload and restarts later; the
     // gateway's per-shard pin should carry its traffic to the replica.
@@ -202,8 +83,8 @@ fn run_cluster_sim(config: &ProtocolConfig, users: usize, rounds: usize, seed: u
     let files_ep = cluster.service_eps["files"];
     net.advance(SimDuration::from_secs(1));
 
-    for round in 0..rounds {
-        let idx = rng.next_u64() % users as u64;
+    for round in 0..SIM_ROUNDS {
+        let idx = rng.next_u64() % SIM_USERS as u64;
         let name = format!("u{idx}");
         let client = Principal::user(&name, REALM);
         let pw = bulk_password(&name);
@@ -247,117 +128,22 @@ fn run_cluster_sim(config: &ProtocolConfig, users: usize, rounds: usize, seed: u
     out
 }
 
-fn fmt_rate(v: f64) -> String {
-    format!("{v:.0}")
-}
-
 fn main() {
-    let quick = std::env::var("CLUSTER_SCALE_QUICK").is_ok();
-    // (principals, AS reqs total, TGS reqs per shard, E13 logins,
-    //  sim users, sim rounds)
-    let (principals, as_total, tgs_per_shard, e13_logins, sim_users, sim_rounds) =
-        if quick { (20_000, 8_000, 250, 100, 64, 24) } else { (1_000_000, 100_000, 2_000, 2_000, 96, 48) };
     let config = ProtocolConfig::v5_draft3();
 
-    println!("E18: sharded KDC cluster scale (quick={quick})");
+    println!("E18: sharded KDC cluster scale");
     println!();
 
-    // ---- Phase A: provision the sharded population -------------------
-    let ((db, files), prov_us) = time_us(|| provision(&config, SHARDS, principals));
-    let occupancy = db.occupancy();
-    let skew_millis = db.skew_millis();
-    let prov_rate = principals as f64 / (prov_us / 1e6);
+    // ---- Provision the sharded population ----------------------------
+    let (occupancy, skew_millis) = {
+        let mut db = ShardedDatabase::new(REALM, SHARDS);
+        db.bulk_add_users("u", PRINCIPALS);
+        (db.occupancy(), db.skew_millis())
+    };
 
-    // ---- Phase B: batched cluster throughput vs single-KDC baselines -
-    let mut kdcs: Vec<Kdc> = db
-        .into_shards()
-        .into_iter()
-        .enumerate()
-        .map(|(i, d)| Kdc::new(config.clone(), d, SEED ^ 0x4b44_4331 ^ i as u64))
-        .collect();
-
-    // Pre-build the seeded mixed request stream, grouped by owning
-    // shard. Client-side work (encoding, key derivation, TGT
-    // acquisition for the TGS legs) stays out of the timed sections.
-    let mut batches: Vec<Vec<(Vec<u8>, Endpoint)>> = vec![Vec::new(); SHARDS];
-    let mut wl = Drbg::new(SEED ^ 0x6261_7463);
-    for _ in 0..as_total {
-        let idx = wl.next_u64() % principals as u64;
-        let client = Principal::user(&format!("u{idx}"), REALM);
-        let ep = user_ep(idx);
-        let req = build_as_req(&config, &client, ep, wl.next_u64());
-        batches[shard_for(&client, SHARDS)].push((req, ep));
-    }
-    let mut ctx = ServiceCtx::detached(SimTime(NOW_US), "bench", Addr::new(10, 9, 0, 250), true);
-    for shard in 0..SHARDS {
-        let mut built = 0;
-        let mut probe = 0u64;
-        while built < tgs_per_shard {
-            let idx = wl.next_u64() % principals as u64;
-            probe += 1;
-            assert!(probe < 64 * tgs_per_shard as u64 + 64, "shard {shard} starved of users");
-            let client = Principal::user(&format!("u{idx}"), REALM);
-            if shard_for(&client, SHARDS) != shard {
-                continue;
-            }
-            let ep = user_ep(idx);
-            let req = build_tgs_req(&config, &mut kdcs[shard], &mut ctx, &client, ep, &files, &mut wl);
-            batches[shard].push((req, ep));
-            built += 1;
-        }
-    }
-
-    // Timed: each shard drains its batch through the amortized path.
-    // Shards are independent hosts in deployment, so the cluster
-    // aggregate is the sum of per-shard rates.
-    let mut per_shard_rates = Vec::with_capacity(SHARDS);
-    let mut batch_requests = 0u64;
-    let mut batch_ok = 0u64;
-    let mut batch_errors = 0u64;
-    for (shard, kdc) in kdcs.iter_mut().enumerate() {
-        let batch = &batches[shard];
-        let (replies, us) = time_us(|| kdc.handle_batch(&mut ctx, batch));
-        let (ok, errors) = tally(&replies);
-        batch_requests += batch.len() as u64;
-        batch_ok += ok;
-        batch_errors += errors;
-        per_shard_rates.push(batch.len() as f64 / (us / 1e6));
-    }
-    let cluster_agg: f64 = per_shard_rates.iter().sum();
-
-    // Baseline 1: the same request stream through ONE sequential KDC
-    // holding the full database (same seed-fixed keys, so the shard
-    // KDCs' TGTs decrypt here too).
-    let (mono_db, _) = provision(&config, 1, principals);
-    let mut mono = Kdc::new(config.clone(), mono_db.into_shards().remove(0), SEED ^ 0x4d4f_4e4f);
-    let all: Vec<&(Vec<u8>, Endpoint)> = batches.iter().flatten().collect();
-    let (mono_ok, mono_us) = time_us(|| {
-        let mut ok = 0u64;
-        for (req, ep) in &all {
-            if let Some(reply) = mono.handle(&mut ctx, req, *ep) {
-                if matches!(deframe(&reply), Ok((WireKind::AsRep | WireKind::TgsRep, _))) {
-                    ok += 1;
-                }
-            }
-        }
-        ok
-    });
-    let mono_rate = all.len() as f64 / (mono_us / 1e6);
-
-    // Baseline 2: E13's methodology — full client login loop against a
-    // single campus KDC.
-    let mut env = AttackEnv::new(&config, 0xE13);
-    env.login("pat").expect("warm-up login");
-    let (_, e13_us) = time_us(|| {
-        for _ in 0..e13_logins {
-            env.login("pat").expect("login");
-        }
-    });
-    let e13_rate = e13_logins as f64 / (e13_us / 1e6);
-
-    // ---- Phase C: deterministic cluster sim with mid-workload crash --
-    let wl_a = run_cluster_sim(&config, sim_users, sim_rounds, SEED ^ 0x5349_4d31);
-    let wl_b = run_cluster_sim(&config, sim_users, sim_rounds, SEED ^ 0x5349_4d31);
+    // ---- Cluster sim with a mid-workload crash, run twice ------------
+    let wl_a = run_cluster_sim(&config, SEED ^ 0x5349_4d31);
+    let wl_b = run_cluster_sim(&config, SEED ^ 0x5349_4d31);
     let deterministic = wl_a.snapshot == wl_b.snapshot
         && wl_a.logins_ok == wl_b.logins_ok
         && wl_a.tgs_ok == wl_b.tgs_ok
@@ -366,21 +152,12 @@ fn main() {
 
     // ---- Report ------------------------------------------------------
     let mut t = TextTable::new(&["metric", "value"]);
-    t.row(&["principals".into(), principals.to_string()]);
+    t.row(&["principals".into(), PRINCIPALS.to_string()]);
     t.row(&["shards".into(), SHARDS.to_string()]);
-    t.row(&["provision_rate_per_sec".into(), fmt_rate(prov_rate)]);
     for (i, occ) in occupancy.iter().enumerate() {
         t.row(&[format!("occupancy_shard_{i}"), occ.to_string()]);
     }
     t.row(&["load_skew_millis".into(), skew_millis.to_string()]);
-    for (i, r) in per_shard_rates.iter().enumerate() {
-        t.row(&[format!("shard_{i}_auths_per_sec"), fmt_rate(*r)]);
-    }
-    t.row(&["cluster_agg_auths_per_sec".into(), fmt_rate(cluster_agg)]);
-    t.row(&["mono_seq_auths_per_sec".into(), fmt_rate(mono_rate)]);
-    t.row(&["e13_login_auths_per_sec".into(), fmt_rate(e13_rate)]);
-    t.row(&["batch_requests".into(), batch_requests.to_string()]);
-    t.row(&["batch_errors".into(), batch_errors.to_string()]);
     t.row(&["sim_logins_ok".into(), wl_a.logins_ok.to_string()]);
     t.row(&["sim_logins_failed".into(), wl_a.logins_failed.to_string()]);
     t.row(&["sim_tgs_ok".into(), wl_a.tgs_ok.to_string()]);
@@ -389,21 +166,7 @@ fn main() {
     t.print("E18: cluster scale");
 
     // ---- Gates -------------------------------------------------------
-    let baseline = mono_rate.max(e13_rate);
     let mut failed = Vec::new();
-    if batch_errors > 0 || batch_ok != batch_requests {
-        failed.push(format!("batched replies: {batch_ok}/{batch_requests} ok, {batch_errors} errors"));
-    }
-    if mono_ok != batch_requests {
-        failed.push(format!("mono baseline replies: {mono_ok}/{batch_requests} ok"));
-    }
-    if cluster_agg < 2.0 * baseline {
-        failed.push(format!(
-            "cluster aggregate {} < 2x single-KDC baseline {}",
-            fmt_rate(cluster_agg),
-            fmt_rate(baseline)
-        ));
-    }
     if wl_a.logins_ok == 0 || wl_a.failovers == 0 {
         failed.push(format!(
             "cluster sim must survive the crash: {} logins ok, {} failovers",
@@ -411,7 +174,7 @@ fn main() {
         ));
     }
     if !deterministic {
-        failed.push("phase C diverged between two same-seed runs".into());
+        failed.push("cluster sim diverged between two same-seed runs".into());
     }
     if !failed.is_empty() {
         for f in &failed {
@@ -419,34 +182,22 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!(
-        "gate: cluster {} >= 2x baseline {} auths/s; failover survived; deterministic",
-        fmt_rate(cluster_agg),
-        fmt_rate(baseline)
-    );
+    println!("gate: failover survived; deterministic");
 
-    // ---- BENCH_cluster.json: deterministic fields only ---------------
-    let mut occ_map = BTreeMap::new();
-    for (i, occ) in occupancy.iter().enumerate() {
-        occ_map.insert(format!("occupancy_shard_{i}"), *occ as u64);
-    }
+    // ---- BENCH_cluster.json ------------------------------------------
     let mut json = BenchJson::new("E18");
-    json.flag("quick", quick)
-        .int("principals", principals as u64)
+    json.int("principals", PRINCIPALS as u64)
         .int("shards", SHARDS as u64)
         .int("load_skew_millis", skew_millis)
-        .int("batch_requests", batch_requests)
-        .int("batch_errors", batch_errors)
-        .int("sim_rounds", sim_rounds as u64)
+        .int("sim_rounds", SIM_ROUNDS as u64)
         .int("sim_logins_ok", wl_a.logins_ok)
         .int("sim_logins_failed", wl_a.logins_failed)
         .int("sim_tgs_ok", wl_a.tgs_ok)
         .int("sim_ap_ok", wl_a.ap_ok)
         .int("sim_gateway_failovers", wl_a.failovers)
-        .flag("deterministic_sim", deterministic)
-        .str_field("speedup_gate", "pass");
-    for (k, v) in &occ_map {
-        json.int(k, *v);
+        .flag("deterministic_sim", deterministic);
+    for (i, occ) in occupancy.iter().enumerate() {
+        json.int(&format!("occupancy_shard_{i}"), *occ as u64);
     }
     json.metrics(&wl_a.snapshot);
     json.write("cluster");

@@ -3,8 +3,10 @@
 //! ones cost real computation per login.
 //!
 //! Run: `cargo run --release -p bench --bin table_dh_tradeoff`
+//! The wall time of every row is the `cargo bench -p bench --bench
+//! dh_cost` id in its last column.
 
-use bench::{mean_us, time_us, BenchJson, TextTable};
+use bench::{BenchJson, TextTable};
 use krb_crypto::bignum::mod_exp;
 use krb_crypto::dh::DhGroup;
 use krb_crypto::dlog::{bsgs, pollard_rho};
@@ -15,58 +17,49 @@ fn main() {
     let mut json = BenchJson::new("E4");
 
     // Part 1: defender cost — one modexp per party per login.
-    let mut table = TextTable::new(&["group", "modulus bits", "exp bits", "us/modexp", "modexps/login"]);
-    let mut rng = Drbg::new(0xE4);
+    let mut table = TextTable::new(&["group", "modulus bits", "exp bits", "modexps/login", "bench id"]);
     for (group, exp_bits) in [
         (DhGroup::toy64(), 64usize),
         (DhGroup::small192(), 160),
         (DhGroup::oakley768(), 160),
         (DhGroup::oakley1024(), 160),
     ] {
-        let kp = group.keypair(exp_bits, &mut rng).expect("keypair");
-        let iters = 12;
-        let us = mean_us(iters, || {
-            let _ = std::hint::black_box(mod_exp(&group.g, &kp.private, &group.p));
-        });
-        json.num(&format!("modexp_us.{}", group.name), us, 0);
         table.row(&[
             group.name.into(),
             group.p.bit_len().to_string(),
             exp_bits.to_string(),
-            format!("{us:.0}"),
             "2 per side".into(),
+            format!("dh_modexp/{}", group.name),
         ]);
     }
     table.print("defender cost: modular exponentiation per login");
 
     // Part 2: attacker cost vs exponent size — baby-step/giant-step on a
     // wiretapped public value.
-    let mut table = TextTable::new(&["exp bits", "dlog time (ms)", "recovered"]);
+    let mut table = TextTable::new(&["exp bits", "recovered", "bench id"]);
     let group = DhGroup::toy64();
     for bits in [16usize, 20, 24, 28] {
         let mut rng = Drbg::new(0x100 + bits as u64);
         let kp = group.keypair(bits, &mut rng).expect("keypair");
-        let (found, us) = time_us(|| bsgs(&group.g, &kp.public, &group.p, 1u64 << bits));
+        let found = bsgs(&group.g, &kp.public, &group.p, 1u64 << bits);
         let ok = found.map(|x| Some(x) == kp.private.to_u64()).unwrap_or(false);
-        json.num(&format!("bsgs_ms.exp{bits}"), us / 1000.0, 1);
         json.flag(&format!("bsgs_recovered.exp{bits}"), ok);
-        table.row(&[bits.to_string(), format!("{:.1}", us / 1000.0), ok.to_string()]);
+        table.row(&[bits.to_string(), ok.to_string(), format!("dlog_bsgs/{bits}")]);
     }
     table.print("attacker cost: BSGS vs secret-exponent size ('small numbers are quite insecure')");
 
     // Part 3: Pollard rho vs subgroup size (memoryless attack).
-    let mut table = TextTable::new(&["subgroup bits", "rho time (ms)", "recovered"]);
+    let mut table = TextTable::new(&["subgroup bits", "recovered", "bench id"]);
     for bits in [14usize, 18, 21] {
         let mut rng = Drbg::new(0x200 + bits as u64);
         let group = DhGroup::generate_safe(bits, &mut rng).expect("group");
         let q = group.order.clone().expect("order");
         let secret = krb_crypto::bignum::random_below(&q, &mut rng);
         let h = mod_exp(&group.g, &secret, &group.p).expect("public");
-        let (found, us) = time_us(|| pollard_rho(&group.g, &h, &group.p, &q, &mut rng));
+        let found = pollard_rho(&group.g, &h, &group.p, &q, &mut rng);
         let ok = found.map(|x| x == secret).unwrap_or(false);
-        json.num(&format!("rho_ms.sub{bits}"), us / 1000.0, 1);
         json.flag(&format!("rho_recovered.sub{bits}"), ok);
-        table.row(&[bits.to_string(), format!("{:.1}", us / 1000.0), ok.to_string()]);
+        table.row(&[bits.to_string(), ok.to_string(), format!("dlog_rho/{bits}")]);
     }
     table.print("attacker cost: Pollard rho vs subgroup size");
     json.write("dh_tradeoff");

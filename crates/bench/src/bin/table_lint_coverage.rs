@@ -1,15 +1,13 @@
 //! E14 + E19 — the static-analysis tables. Runs the full workspace lint
-//! once, times it, and prints the rule × crate violation table (E14,
-//! active + baselined) and the flow-pass coverage: findings per rule,
-//! functions analysed, call edges resolved, and taint paths walked
-//! (E19).
+//! once and prints the rule × crate violation table (E14, active +
+//! baselined) and the flow-pass coverage: findings per rule, functions
+//! analysed, call edges resolved, and taint paths walked (E19).
 //!
-//! The wall-clock goes to stdout only; `BENCH_lint.json` carries
-//! nothing but deterministic counts, so `verify.sh` byte-diffs two
-//! back-to-back runs — the analyzer meets the same determinism bar it
-//! enforces on the crates it scans.
+//! `BENCH_lint.json` carries nothing but deterministic counts, so
+//! `verify.sh` byte-diffs two back-to-back runs — the analyzer meets the
+//! same determinism bar it enforces on the crates it scans.
 
-use bench::{time_us, BenchJson, TextTable};
+use bench::{BenchJson, TextTable};
 use krb_lint::ALL_RULES;
 use std::process::ExitCode;
 
@@ -21,8 +19,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (outcome, wall_us) = time_us(|| krb_lint::run(&root));
-    let report = match outcome {
+    let report = match krb_lint::run(&root) {
         Ok(Ok(r)) => r,
         Ok(Err(b)) => {
             eprintln!("table_lint_coverage: lint-baseline.toml:{}: {}", b.line, b.message);
@@ -56,7 +53,6 @@ fn main() -> ExitCode {
         report.flow.functions, report.flow.call_edges, report.flow.taint_paths,
         report.files_scanned,
     );
-    println!("lint wall time: {wall_us:.0} us (stdout only, never in the JSON)");
     json.write("lint");
     if report.clean() {
         ExitCode::SUCCESS

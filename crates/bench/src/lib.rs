@@ -1,16 +1,16 @@
-//! Shared helpers for the experiment harness: table formatting,
-//! wall-clock measurement, and the stable machine-readable report every
-//! `table_*` bin writes next to its TextTable. [`bench`] is the sampling
-//! harness the `benches/*` suites run on.
+//! Shared helpers for the experiment harness: table formatting and the
+//! stable machine-readable report every `table_*` bin writes next to its
+//! TextTable. [`bench`] is the sampling harness the `benches/*` suites
+//! run on.
 //!
-//! This crate and the root package are the only code that reads the
-//! wall clock (clippy.toml bans it everywhere else), and no other crate
-//! depends on them.
+//! The table bins print and write only seed-determined values, so every
+//! `BENCH_*.json` is byte-identical across runs. [`bench`] is the only
+//! module here that reads the wall clock; clippy.toml bans it everywhere
+//! else, and no other crate depends on this one.
 
 pub mod bench;
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// A simple fixed-width text table.
 pub struct TextTable {
@@ -69,8 +69,8 @@ impl TextTable {
 }
 
 /// A stable-field-order JSON report: every experiment bin writes one as
-/// `BENCH_<name>.json` so downstream tooling gets machine-readable
-/// numbers uniformly, not just from the throughput bench.
+/// `BENCH_<name>.json`, and `scripts/verify.sh` byte-diffs two runs of
+/// each.
 ///
 /// Fields render in insertion order; an attached metrics snapshot (the
 /// `krb-trace` registry, already a sorted map) renders as a nested
@@ -124,9 +124,7 @@ impl BenchJson {
         self
     }
 
-    /// Adds a float field, rendered with `decimals` places (callers pick
-    /// the precision so wall-clock noise does not churn diffs for
-    /// sim-time numbers).
+    /// Adds a float field, rendered with `decimals` places.
     pub fn num(&mut self, key: &str, v: f64, decimals: usize) -> &mut Self {
         self.fields.push((key.to_string(), format!("{v:.decimals$}")));
         self
@@ -169,22 +167,6 @@ impl BenchJson {
     }
 }
 
-/// Times a closure, returning (result, elapsed microseconds).
-pub fn time_us<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64() * 1e6)
-}
-
-/// Times `iters` runs of a closure and returns mean microseconds.
-pub fn mean_us(iters: usize, mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    t0.elapsed().as_secs_f64() * 1e6 / iters as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,13 +195,5 @@ mod tests {
         assert!(sep.len() >= "a-long-extra-cell".len());
         let col2 = |l: &str| l.find("a-long-extra-cell").or_else(|| l.find('z'));
         assert_eq!(col2(lines[2]), col2(lines[3]));
-    }
-
-    #[test]
-    fn timing_is_positive() {
-        let (v, us) = time_us(|| 21 * 2);
-        assert_eq!(v, 42);
-        assert!(us >= 0.0);
-        assert!(mean_us(3, || { std::hint::black_box(1 + 1); }) >= 0.0);
     }
 }

@@ -783,34 +783,21 @@ impl Kdc {
         TgsRep { enc_part }.encode(self.config.codec)
     }
 
-    /// Processes a whole batch of AS/TGS requests in one call, in order.
+    /// Processes a batch of AS/TGS requests in order through
+    /// [`Service::handle`], one datagram at a time.
     ///
-    /// This is the cluster hot path: the shard router has already
-    /// grouped requests onto the KDC that owns their principals (see
-    /// `database::shard_for`), so one call amortizes the tracer/clock
-    /// plumbing that [`Service::handle`] re-establishes per packet, and
-    /// the per-request key schedules and the preauth-open scratch
-    /// buffer stay warm across the batch.
-    ///
-    /// Replies are byte-identical to feeding the same requests through
-    /// [`Service::handle`] one at a time (same dispatch, same RNG
-    /// order), with one deliberate divergence: an unrecognized leading
-    /// byte yields an encoded GENERIC error rather than silence, so the
-    /// output vector always lines up index-for-index with the batch.
+    /// Replies are byte-identical to calling [`Service::handle`] per
+    /// datagram, except that a datagram with no message kind yields an
+    /// encoded GENERIC error rather than silence, so the output always
+    /// lines up index-for-index with the batch.
     pub fn handle_batch(&mut self, ctx: &mut ServiceCtx, batch: &[(Vec<u8>, Endpoint)]) -> Vec<Vec<u8>> {
-        self.trace = ctx.tracer.clone();
-        self.trace_now_us = ctx.true_time.0;
-        let now_us = ctx.local_time.0;
-        let mut replies = Vec::with_capacity(batch.len());
-        for (req, from) in batch {
-            let reply = match req.first().copied().and_then(WireKind::from_u8) {
-                Some(WireKind::AsReq) => self.as_exchange(req, *from, now_us),
-                Some(WireKind::TgsReq) => self.tgs_exchange(req, *from, now_us),
-                _ => self.error(err_code::GENERIC, "unexpected message kind"),
-            };
-            replies.push(reply);
-        }
-        replies
+        batch
+            .iter()
+            .map(|(req, from)| {
+                self.handle(ctx, req, *from)
+                    .unwrap_or_else(|| self.error(err_code::GENERIC, "unexpected message kind"))
+            })
+            .collect()
     }
 }
 

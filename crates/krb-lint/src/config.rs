@@ -57,7 +57,7 @@ pub const SANITIZER_METHODS: &[&str] =
 
 /// The hot-path allocation budget (A001): `(crate, function)` pairs in
 /// which any heap allocation is a finding. These are the per-request /
-/// per-block inner loops the E13/E17/E18 benches measure; a stray
+/// per-block inner loops kbench's per-layer timings measure; a stray
 /// `clone()` or `format!` here is a throughput regression that no test
 /// catches. `Vec::with_capacity` is deliberately NOT flagged — one
 /// sized allocation per call is the sanctioned way to produce an owned
@@ -67,7 +67,6 @@ pub const HOT_PATH_FNS: &[(&str, &str)] = &[
     ("kerberos", "seal_with"),
     ("kerberos", "open_with"),
     ("kerberos", "open_into"),
-    ("kerberos", "handle_batch"),
     ("krb-crypto", "encrypt_block"),
     ("krb-crypto", "decrypt_block"),
     ("krb-crypto", "feistel"),

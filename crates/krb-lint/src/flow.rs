@@ -313,15 +313,15 @@ mod tests {
     #[test]
     fn a001_flags_alloc_but_not_with_capacity() {
         let src = r#"
-            fn handle_batch(&mut self, reqs: &[Req]) -> Vec<Vec<u8>> {
-                let mut out = Vec::with_capacity(reqs.len());
+            fn seal_with(&self, key: &ScheduledKey, plaintext: &[u8]) -> Vec<u8> {
+                let mut out = Vec::with_capacity(plaintext.len() + 16);
                 let tag = self.name.clone();
                 let extra = Vec::new();
                 let msg = format!("x");
                 out
             }
         "#;
-        let f = run(&[("crates/kerberos/src/kdc.rs", "kerberos", src)], None);
+        let f = run(&[("crates/kerberos/src/enclayer.rs", "kerberos", src)], None);
         let msgs: Vec<&str> = f
             .iter()
             .filter(|x| x.rule == Rule::A001)

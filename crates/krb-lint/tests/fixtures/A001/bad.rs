@@ -1,6 +1,6 @@
 //! BAD: a heap allocation inside a declared hot-path function — the
-//! per-request copy the E13/E17 throughput numbers never see in a
-//! test, only in the bench regression.
+//! per-request copy no test sees, only a regression in kbench's
+//! per-layer timings.
 
 pub struct Sealer;
 

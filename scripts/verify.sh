@@ -7,27 +7,31 @@
 #   3. release build of every target (including benches)
 #   4. clippy, warnings denied — this also enforces determinism
 #      (clippy.toml) and panic hygiene (crate-root lint attributes)
-#   5. full test suite, then the experiment smoke runs below
+#   5. full test suite, then the experiment runs below
 #
 # Usage: scripts/verify.sh   (from anywhere; cd's to the repo root)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Runs `bench --bin $1` twice: BENCH_$2.json must come out byte-identical
-# across the two same-input runs and contain each remaining argument.
+# Runs `bench --bin $1` twice: the BENCH_*.json it names on its `wrote`
+# line must come out byte-identical across the two same-input runs.
 double_run() {
-    local bin="$1" json="BENCH_$2.json"
-    shift 2
-    cargo run --release --offline -p bench --bin "$bin"
+    local bin="$1" out json
+    out="$(cargo run -q --release --offline -p bench --bin "$bin")"
+    echo "$out"
+    json="$(sed -n 's/^wrote //p' <<<"$out")"
+    [[ -n "$json" ]] || { echo "$bin wrote no BENCH_*.json"; exit 1; }
     cp "$json" "$json.run1"
-    cargo run --release --offline -p bench --bin "$bin"
+    cargo run -q --release --offline -p bench --bin "$bin" >/dev/null
     diff "$json.run1" "$json" \
         || { echo "$json not byte-identical across same-input runs"; exit 1; }
     rm -f "$json.run1"
-    for pattern in "$@"; do
-        grep -q "$pattern" "$json" || { echo "$json missing $pattern"; exit 1; }
-    done
+}
+
+# Fails unless file $1 contains pattern $2.
+require() {
+    grep -q "$2" "$1" || { echo "$1 missing $2"; exit 1; }
 }
 
 echo "== hermeticity (cargo metadata) =="
@@ -65,15 +69,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== tests =="
 cargo test -q --workspace --offline
 
-echo "== crypto bench smoke (fast-kernel equivalence + speedup) =="
-# One quick pass of the E13 throughput harness: proves the fused-table
-# DES kernel bit-exact against the reference (FIPS 81 + differential
-# trials), fails if the fast kernel is not faster, and regenerates
-# BENCH_crypto.json.
-KDC_THROUGHPUT_QUICK=1 cargo run --release --offline -p bench --bin table_kdc_throughput
-grep -q '"equivalence": "pass"' BENCH_crypto.json \
-    || { echo "BENCH_crypto.json missing equivalence pass"; exit 1; }
-
 echo "== trace goldens (determinism + narration) =="
 # The observability layer must be purely observational: the pinned A1/V4
 # JSONL trace matches its golden byte-for-byte, same-seed runs are
@@ -92,39 +87,27 @@ echo "== fuzz smoke (fixed seed, deterministic, panic-free) =="
 # must be byte-identical.
 scripts/fuzz.sh
 
-echo "== gateway overload scenarios (E17) =="
-# The four seeded abuse campaigns against the admission-controlled KDC
-# front-end: flash crowd, preauth storm, misbehaving herd, crash-restart.
-# Each is byte-replayable from its seed; the run regenerates
-# BENCH_gateway.json (goodput, shed rate, p99 latency, admission ratios).
-cargo run --release --offline -p bench --bin table_gateway_overload
-grep -q '"preauth_storm.legit_ok"' BENCH_gateway.json \
-    || { echo "BENCH_gateway.json missing preauth-storm scores"; exit 1; }
-
-echo "== cluster scale smoke (E18, quick mode, byte-identical JSON) =="
-# The sharded-cluster bench in quick mode: provisions the population,
-# gates the batched 4-shard aggregate at >=2x the single-KDC baselines,
-# and survives a shard-primary crash mid-workload. The deterministic
-# report must be byte-identical across same-seed runs.
-CLUSTER_SCALE_QUICK=1 double_run table_cluster_scale cluster '"speedup_gate": "pass"'
-
-echo "== lint coverage (E14/E19, byte-identical JSON) =="
-# The lint over the whole tree: BENCH_lint.json holds only deterministic
-# counts (findings per rule, functions, call edges, taint paths — the
-# wall clock goes to stdout only), so two runs over the same tree must
-# produce byte-identical reports, and the tree must be clean (every
-# finding fixed or baselined with a justification).
-double_run table_lint_coverage lint '"clean": true'
-
-echo "== intrusion detection (E20, gates + byte-identical JSON) =="
-# The default krb-ids rule set over the full attack matrix, stealth
-# variants, benign and fault-heavy workloads. Detection is a pure
-# function of the deterministic wire, so BENCH_ids.json must be
-# byte-identical across same-seed runs; then both gates (every designed
-# detector pair fired with >=90% on loud variants; zero alerts on the
-# zero-fault benign workload). The pinned A1/V4 alert-stream golden
-# rides with the test suite (alert_golden).
-double_run table_ids_matrix ids '"detection_gate": "pass"' '"fp_gate": "pass"'
+echo "== experiment tables (every table_* bin, byte-identical JSON) =="
+# Every table bin prints and writes only seed-determined values (the wall
+# clock lives in kbench and the `cargo bench` suites), so each
+# BENCH_*.json must be byte-identical across two runs, and a changed
+# result shows up as a diff of the committed file.
+for src in crates/bench/src/bin/table_*.rs; do
+    bin="$(basename "$src" .rs)"
+    echo "-- $bin"
+    double_run "$bin"
+done
+# E14/E19: the tree is lint-clean (every finding fixed or baselined).
+require BENCH_lint.json '"clean": true'
+# E20: every designed detector pair fired with >=90% on loud variants,
+# and zero alerts on the zero-fault benign workload.
+require BENCH_ids.json '"detection_gate": "pass"'
+require BENCH_ids.json '"fp_gate": "pass"'
+# E17: the preauth-storm campaign scored its legitimate logins.
+require BENCH_gateway.json '"preauth_storm.legit_ok"'
+# E18: the cluster sim with a mid-run shard-primary crash replays
+# identically from its seed.
+require BENCH_cluster.json '"deterministic_sim": true'
 
 echo "== chaos soak (pinned fault seeds) =="
 # Liveness + safety under a faulted network: ≥5 pinned seeds at ≥10%

@@ -1,6 +1,6 @@
 //! `crack_as_reply` screens each guess on one decrypted block before the
 //! full open. The loop it replaced — derive through `string_to_key_v5`,
-//! open the whole reply through the schedule cache, decode, screen — is
+//! open the whole reply under the guessed `DesKey`, decode, screen — is
 //! kept here as the reference, and both must return the same password
 //! (or none) on every sealed reply: every layer and codec, with and
 //! without a handheld-authenticator challenge, and with the ciphertext

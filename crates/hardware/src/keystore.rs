@@ -40,11 +40,6 @@ impl KeyStoreLogic {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// A keystore sharing `blobs` (e.g. for replicated inspection).
-    pub fn with_storage(blobs: BlobStore) -> Self {
-        KeyStoreLogic { blobs }
-    }
 }
 
 fn split(cmd: &[u8]) -> (Vec<u8>, Vec<u8>) {

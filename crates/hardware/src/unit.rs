@@ -147,11 +147,6 @@ impl EncryptionUnit {
         &self.audit
     }
 
-    /// Number of sealed slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     fn insert(&mut self, key: DesKey, purpose: KeyPurpose) -> KeyHandle {
         let h = KeyHandle(self.next);
         self.next += 1;

@@ -15,7 +15,7 @@ use crate::replay_cache::{CacheVerdict, ReplayCache};
 use crate::retry::{self, reply_transient};
 use crate::session::{Direction, Session};
 use crate::ticket::Ticket;
-use krb_crypto::des::DesKey;
+use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::rng::{Drbg, RandomSource};
 use krb_trace::{EventKind, Tracer, Value};
 use simnet::{Endpoint, NetError, Network, Service, ServiceCtx, SimDuration};
@@ -59,7 +59,7 @@ pub struct AppServer {
     pub config: ProtocolConfig,
     /// This service's principal.
     pub principal: Principal,
-    service_key: DesKey,
+    service_key: ScheduledKey,
     rng: Drbg,
     replay_cache: ReplayCache,
     /// Challenge/response state: peer -> (nonce, ticket).
@@ -98,7 +98,7 @@ impl AppServer {
         AppServer {
             config,
             principal,
-            service_key,
+            service_key: ScheduledKey::new(service_key),
             rng: Drbg::new(rng_seed),
             replay_cache: ReplayCache::new(skew),
             pending: BTreeMap::new(),
@@ -183,11 +183,13 @@ impl AppServer {
         Ok(())
     }
 
-    /// Establishes the session and builds the AP reply.
+    /// Establishes the session and builds the AP reply, sealed under
+    /// `session_key`, the ticket's session key already expanded.
     fn establish(
         &mut self,
         from: Endpoint,
         ticket: &Ticket,
+        session_key: &ScheduledKey,
         ts_echo: u64,
         client_subkey: Option<u64>,
         client_seq: Option<u64>,
@@ -223,8 +225,8 @@ impl AppServer {
         self.auth_log.push(AuthEvent::Accepted { client: ticket.client.clone(), from });
 
         let part = EncApRepPart { ts_echo, subkey: server_subkey, seq_init: Some(server_seq) };
-        let sealed = match self.config.ticket_layer.seal(
-            &ticket.session_key,
+        let sealed = match self.config.ticket_layer.seal_with(
+            session_key,
             0,
             &part.encode(self.config.codec),
             &mut self.rng,
@@ -241,7 +243,7 @@ impl AppServer {
             Ok(r) => r,
             Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
         };
-        let ticket = match Ticket::unseal(self.config.codec, self.config.ticket_layer, &self.service_key, &req.ticket)
+        let ticket = match Ticket::unseal_with(self.config.codec, self.config.ticket_layer, &self.service_key, &req.ticket)
         {
             Ok(t) => t,
             Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
@@ -273,10 +275,11 @@ impl AppServer {
                 .encode(self.config.codec)
             }
             AuthStyle::Timestamp => {
-                let auth = match Authenticator::unseal(
+                let session_key = ScheduledKey::new(ticket.session_key);
+                let auth = match Authenticator::unseal_with(
                     self.config.codec,
                     self.config.ticket_layer,
-                    &ticket.session_key,
+                    &session_key,
                     &req.authenticator,
                 ) {
                     Ok(a) => a,
@@ -319,7 +322,8 @@ impl AppServer {
                         }
                     }
                 }
-                self.establish(from, &ticket.clone(), auth.timestamp.wrapping_add(1), auth.subkey, auth.seq_init)
+                let echo = auth.timestamp.wrapping_add(1);
+                self.establish(from, &ticket.clone(), &session_key, echo, auth.subkey, auth.seq_init)
             }
         }
     }
@@ -329,7 +333,8 @@ impl AppServer {
         let Some((nonce, ticket)) = self.pending.remove(&from) else {
             return self.reject(from, "no challenge outstanding", err_code::GENERIC);
         };
-        let pt = match self.config.ticket_layer.open(&ticket.session_key, 0, body) {
+        let session_key = ScheduledKey::new(ticket.session_key);
+        let pt = match self.config.ticket_layer.open_with(&session_key, 0, body) {
             Ok(p) => p,
             Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
         };
@@ -341,7 +346,7 @@ impl AppServer {
         if part.ts_echo != nonce.wrapping_add(1) {
             return self.reject(from, "wrong challenge response", err_code::GENERIC);
         }
-        self.establish(from, &ticket.clone(), nonce.wrapping_add(2), part.subkey, part.seq_init)
+        self.establish(from, &ticket.clone(), &session_key, nonce.wrapping_add(2), part.subkey, part.seq_init)
     }
 
     /// Handles a KRB_PRIV command in an established session.
@@ -487,6 +492,7 @@ pub fn connect_app(
     let client_subkey = config.subkey_negotiation.then(|| rng.next_u64());
     let client_seq = rng.next_u64() >> 16;
     let timeout = Some(SimDuration(config.retry.timeout_us));
+    let session_key = ScheduledKey::new(cred.session_key);
 
     // Maps a server KRB_ERROR to an attempt verdict; TRY_LATER is the
     // server's own fail-closed retry request and is transient even on a
@@ -522,7 +528,7 @@ pub fn connect_app(
                     seq_init: Some(client_seq),
                 };
                 let sealed_auth =
-                    auth.seal(config.codec, config.ticket_layer, &cred.session_key, rng)?;
+                    auth.seal_with(config.codec, config.ticket_layer, &session_key, rng)?;
                 let req = ApReq {
                     ticket: cred.sealed_ticket.clone(),
                     authenticator: sealed_auth,
@@ -563,7 +569,7 @@ pub fn connect_app(
                 let sealed =
                     config
                         .ticket_layer
-                        .seal(&cred.session_key, 0, &part.encode(config.codec), rng)?;
+                        .seal_with(&session_key, 0, &part.encode(config.codec), rng)?;
                 let reply = net.rpc_with_timeout(
                     client_ep,
                     server_ep,
@@ -584,7 +590,7 @@ pub fn connect_app(
         let rep = ApRep::decode(config.codec, &reply).map_err(|e| reply_transient(net, e))?;
         let pt = config
             .ticket_layer
-            .open(&cred.session_key, 0, &rep.enc_part)
+            .open_with(&session_key, 0, &rep.enc_part)
             .map_err(|e| reply_transient(net, e))?;
         let part = EncApRepPart::decode(config.codec, &pt).map_err(|e| reply_transient(net, e))?;
         if part.ts_echo != expected_echo {

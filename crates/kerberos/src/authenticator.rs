@@ -115,6 +115,17 @@ impl Authenticator {
         layer.seal(session_key, 0, &self.encode(codec), rng)
     }
 
+    /// [`Authenticator::seal`] with a precomputed schedule.
+    pub fn seal_with(
+        &self,
+        codec: Codec,
+        layer: EncLayer,
+        session_key: &ScheduledKey,
+        rng: &mut dyn RandomSource,
+    ) -> Result<Vec<u8>, KrbError> {
+        layer.seal_with(session_key, 0, &self.encode(codec), rng)
+    }
+
     /// Decrypts and parses.
     pub fn unseal(
         codec: Codec,

@@ -13,7 +13,7 @@ use crate::messages::{
 use crate::principal::Principal;
 use crate::retry::{self, reply_transient, AttemptErr};
 use krb_crypto::checksum;
-use krb_crypto::des::DesKey;
+use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::RandomSource;
 use krb_crypto::s2k;
@@ -314,6 +314,7 @@ pub fn get_service_ticket_at(
     // Full per-server budget times the replica count, as in `login_at`.
     let mut policy = config.retry;
     policy.attempts = policy.attempts.saturating_mul(kdcs.len() as u32);
+    let tgt_key = ScheduledKey::new(tgt.session_key);
 
     let trace = net.tracer();
     let span = trace.begin_span(
@@ -353,14 +354,14 @@ pub fn get_service_ticket_at(
             subkey: None,
             seq_init: None,
         };
-        req.authenticator = auth.seal(config.codec, config.ticket_layer, &tgt.session_key, rng)?;
+        req.authenticator = auth.seal_with(config.codec, config.ticket_layer, &tgt_key, rng)?;
 
         let reply = net.rpc_with_timeout(client_ep, kdc_ep, req.encode(config.codec), timeout)?;
         check_error(config, &reply).map_err(|e| reply_transient(net, e))?;
         let rep = TgsRep::decode(config.codec, &reply).map_err(|e| reply_transient(net, e))?;
         let part_bytes = config
             .ticket_layer
-            .open(&tgt.session_key, 0, &rep.enc_part)
+            .open_with(&tgt_key, 0, &rep.enc_part)
             .map_err(|e| reply_transient(net, e))?;
         let part = EncKdcRepPart::decode(config.codec, MsgType::EncTgsRepPart, &part_bytes)
             .map_err(|e| reply_transient(net, e))?;

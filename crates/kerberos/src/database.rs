@@ -180,11 +180,6 @@ impl ShardedDatabase {
         self.shards.len()
     }
 
-    /// The shard index owning `p`.
-    pub fn shard_index(&self, p: &Principal) -> usize {
-        shard_for(p, self.shards.len())
-    }
-
     /// Read access to shard `idx` (for tests and benches).
     pub fn shard(&self, idx: usize) -> &KdcDatabase {
         &self.shards[idx % self.shards.len().max(1)]

@@ -19,7 +19,7 @@
 use crate::encoding::len_u32;
 use crate::error::KrbError;
 use krb_crypto::checksum::{self, ChecksumType};
-use krb_crypto::des::{self, DesKey, ScheduledKey};
+use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::modes;
 use krb_crypto::rng::RandomSource;
 
@@ -114,8 +114,8 @@ impl EncLayer {
     /// hardened layer; V4 uses the key as IV and V5 uses zero — both
     /// historical choices the paper criticizes.
     ///
-    /// Routes through the thread-local schedule cache; hot paths that
-    /// already hold a [`ScheduledKey`] should call [`EncLayer::seal_with`].
+    /// Expands `key`'s schedule for this call; callers that already
+    /// hold a [`ScheduledKey`] should call [`EncLayer::seal_with`].
     pub fn seal(
         self,
         key: &DesKey,
@@ -123,7 +123,7 @@ impl EncLayer {
         plaintext: &[u8],
         rng: &mut dyn RandomSource,
     ) -> Result<Vec<u8>, KrbError> {
-        des::with_scheduled(key, |sk| self.seal_with(sk, iv, plaintext, rng))
+        self.seal_with(&ScheduledKey::new(*key), iv, plaintext, rng)
     }
 
     /// Seals `plaintext` with a precomputed schedule: one buffer is
@@ -177,9 +177,10 @@ impl EncLayer {
 
     /// Opens a sealed message. For the layers without integrity this
     /// returns whatever the bytes decrypt to — garbage in, garbage out,
-    /// exactly as in 1991.
+    /// exactly as in 1991. Expands `key`'s schedule for this call, as
+    /// [`EncLayer::seal`] does.
     pub fn open(self, key: &DesKey, iv: u64, ciphertext: &[u8]) -> Result<Vec<u8>, KrbError> {
-        des::with_scheduled(key, |sk| self.open_with(sk, iv, ciphertext))
+        self.open_with(&ScheduledKey::new(*key), iv, ciphertext)
     }
 
     /// Opens a sealed message with a precomputed schedule: the

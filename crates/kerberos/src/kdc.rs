@@ -20,7 +20,7 @@ use crate::principal::Principal;
 use crate::replay_cache::{CacheVerdict, ReplayCache};
 use crate::ticket::Ticket;
 use krb_crypto::checksum;
-use krb_crypto::des::{self, DesKey, ScheduledKey};
+use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::{Drbg, RandomSource};
 use krb_trace::{EventKind, Tracer, Value};
@@ -75,11 +75,10 @@ fn evict_for_insert<K: Ord + Clone, V>(
 
 /// Derives the handheld-authenticator response key `{R}K_c`.
 pub fn hha_key(kc: &DesKey, r: u64) -> DesKey {
-    des::with_scheduled(kc, |sk| hha_key_with(sk, r))
+    hha_key_with(&ScheduledKey::new(*kc), r)
 }
 
-/// [`hha_key`] under an already-expanded `K_c`, bypassing the schedule
-/// cache.
+/// [`hha_key`] under an already-expanded `K_c`.
 pub fn hha_key_with(kc: &ScheduledKey, r: u64) -> DesKey {
     DesKey::from_u64(kc.encrypt_block(r)).with_odd_parity()
 }

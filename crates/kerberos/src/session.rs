@@ -333,7 +333,7 @@ impl Session {
         let cksum = checksum::compute(config.checksum, key_opt, &body)?;
         let mut out = body;
         out.push(crate::authenticator::checksum_tag(config.checksum));
-        out.extend_from_slice(&(cksum.value.len() as u32).to_be_bytes());
+        out.extend_from_slice(&len_u32(cksum.value.len()).to_be_bytes());
         out.extend_from_slice(&cksum.value);
         Ok(frame(WireKind::Safe, out))
     }

@@ -365,32 +365,6 @@ impl KdcCluster {
     pub fn contact_eps(&self) -> Vec<Endpoint> {
         vec![self.gateway_ep]
     }
-
-    /// Runs `f` with mutable access to shard `i`'s primary [`Kdc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the host does not hold a `Kdc`.
-    #[expect(
-        clippy::expect_used,
-        reason = "experiment-harness fixture access; failing loudly at setup is correct and precedes any protocol traffic"
-    )]
-    pub fn with_shard_kdc<R>(
-        &self,
-        net: &mut Network,
-        shard: usize,
-        f: impl FnOnce(&mut Kdc) -> R,
-    ) -> R {
-        let svc = net
-            .host_mut(self.shard_primary_hosts[shard])
-            .service_mut(KDC_PORT)
-            .expect("KDC bound")
-            .as_any_mut()
-            .expect("inspectable")
-            .downcast_mut::<Kdc>()
-            .expect("a Kdc");
-        f(svc)
-    }
 }
 
 /// Deploys a sharded KDC cluster onto `net`: `users_bulk` principals

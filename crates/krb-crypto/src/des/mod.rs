@@ -16,13 +16,11 @@
 //! bit-at-a-time table walk, kept as the equivalence oracle). They are
 //! proven bit-identical by differential proptests in `tests/des_kat.rs`.
 
-mod cache;
 mod fast;
 mod keysched;
 pub mod reference;
 mod tables;
 
-pub use cache::{with_schedule, with_scheduled};
 pub use fast::{decrypt_block, encrypt_block};
 pub use keysched::{KeySchedule, RoundKeys};
 
@@ -131,17 +129,17 @@ impl DesKey {
         DesKey::from_u64(self.to_u64() ^ mask)
     }
 
-    /// Encrypts one 8-byte block in ECB mode, using the thread-local
-    /// schedule cache. Callers encrypting many blocks under one key
+    /// Encrypts one 8-byte block in ECB mode, expanding the schedule
+    /// for this call. Callers encrypting many blocks under one key
     /// should hold a [`ScheduledKey`] instead.
     pub fn encrypt_block(&self, block: u64) -> u64 {
-        cache::with_schedule(self, |ks| encrypt_block(ks, block))
+        encrypt_block(&self.schedule(), block)
     }
 
-    /// Decrypts one 8-byte block in ECB mode, using the thread-local
-    /// schedule cache.
+    /// Decrypts one 8-byte block in ECB mode, expanding the schedule
+    /// for this call.
     pub fn decrypt_block(&self, block: u64) -> u64 {
-        cache::with_schedule(self, |ks| decrypt_block(ks, block))
+        decrypt_block(&self.schedule(), block)
     }
 }
 

@@ -35,7 +35,6 @@ pub mod checksum;
 pub mod crc32;
 pub mod ct;
 pub mod des;
-pub mod des3;
 pub mod dh;
 pub mod dlog;
 pub mod error;

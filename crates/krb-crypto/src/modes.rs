@@ -13,10 +13,10 @@
 //! Each mode has an `_in_place` core that transforms a caller-provided
 //! buffer under a precomputed [`KeySchedule`] — the zero-allocation hot
 //! path — plus a thin allocating wrapper with the historical
-//! `(key, data) -> Vec<u8>` signature that routes through the
-//! thread-local schedule cache.
+//! `(key, data) -> Vec<u8>` signature that expands the key's schedule
+//! for that one call.
 
-use crate::des::{self, decrypt_block, encrypt_block, DesKey, KeySchedule};
+use crate::des::{decrypt_block, encrypt_block, DesKey, KeySchedule};
 use crate::error::CryptoError;
 
 /// Converts an 8-byte chunk to a big-endian u64.
@@ -126,51 +126,42 @@ pub fn pcbc_decrypt_in_place(ks: &KeySchedule, iv: u64, data: &mut [u8]) -> Resu
 /// Encrypts in ECB mode. `data` must be a multiple of 8 bytes.
 pub fn ecb_encrypt(key: &DesKey, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut out = data.to_vec();
-    des::with_schedule(key, |ks| ecb_encrypt_in_place(ks, &mut out))?;
+    ecb_encrypt_in_place(&key.schedule(), &mut out)?;
     Ok(out)
 }
 
 /// Decrypts in ECB mode. `data` must be a multiple of 8 bytes.
 pub fn ecb_decrypt(key: &DesKey, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut out = data.to_vec();
-    des::with_schedule(key, |ks| ecb_decrypt_in_place(ks, &mut out))?;
+    ecb_decrypt_in_place(&key.schedule(), &mut out)?;
     Ok(out)
 }
 
 /// Encrypts in CBC mode with the given IV.
 pub fn cbc_encrypt(key: &DesKey, iv: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut out = data.to_vec();
-    des::with_schedule(key, |ks| cbc_encrypt_in_place(ks, iv, &mut out))?;
+    cbc_encrypt_in_place(&key.schedule(), iv, &mut out)?;
     Ok(out)
 }
 
 /// Decrypts in CBC mode with the given IV.
 pub fn cbc_decrypt(key: &DesKey, iv: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut out = data.to_vec();
-    des::with_schedule(key, |ks| cbc_decrypt_in_place(ks, iv, &mut out))?;
+    cbc_decrypt_in_place(&key.schedule(), iv, &mut out)?;
     Ok(out)
 }
 
 /// Encrypts in PCBC mode with the given IV.
 pub fn pcbc_encrypt(key: &DesKey, iv: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut out = data.to_vec();
-    des::with_schedule(key, |ks| pcbc_encrypt_in_place(ks, iv, &mut out))?;
+    pcbc_encrypt_in_place(&key.schedule(), iv, &mut out)?;
     Ok(out)
 }
 
 /// Decrypts PCBC mode.
 pub fn pcbc_decrypt(key: &DesKey, iv: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let mut out = data.to_vec();
-    des::with_schedule(key, |ks| pcbc_decrypt_in_place(ks, iv, &mut out))?;
-    Ok(out)
-}
-
-/// Encrypts a whole message with a precomputed key schedule in CBC mode.
-/// Exposed for the throughput benchmarks, which must not re-run the key
-/// schedule per message.
-pub fn cbc_encrypt_with(ks: &KeySchedule, iv: u64, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-    let mut out = data.to_vec();
-    cbc_encrypt_in_place(ks, iv, &mut out)?;
+    pcbc_decrypt_in_place(&key.schedule(), iv, &mut out)?;
     Ok(out)
 }
 

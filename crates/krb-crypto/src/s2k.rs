@@ -93,9 +93,8 @@ fn derive_into(input: &mut Vec<u8>, password: &str, salt: &str) -> DesKey {
 
     let candidate = DesKey::from_bytes(fanfold(input)).with_odd_parity();
 
-    // CBC-MAC the padded password under the candidate key, IV = candidate.
-    // The candidate is different on every call, so bypass the schedule
-    // cache and expand it exactly once, explicitly.
+    // CBC-MAC the padded password under the candidate key, IV = candidate,
+    // expanding the candidate's schedule exactly once.
     let rem = input.len() % 8;
     if rem != 0 {
         input.resize(input.len() + (8 - rem), 0);

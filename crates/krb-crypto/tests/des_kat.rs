@@ -8,7 +8,6 @@
 //! failure with the printed `TESTKIT_SEED`).
 
 use krb_crypto::des::{self, DesKey, KeySchedule};
-use krb_crypto::des3::TripleDesKey;
 use krb_crypto::modes;
 use testkit::prelude::*;
 
@@ -50,27 +49,6 @@ fn fips81_cbc_known_answer() {
     assert_eq!(bytes_to_blocks(&modes::cbc_decrypt(&key, iv, &ct).unwrap()), FIPS81_PT);
 }
 
-#[test]
-fn des3_ede_degenerate_known_answer() {
-    // With K1 = K2 = K3, EDE collapses to single DES, so the NBS
-    // single-DES vector (key 01..01, PT 8000..00 -> 95F8A5E5DD31D900)
-    // pins the chain without trusting our own output.
-    let k = DesKey::from_u64(0x0101010101010101);
-    let tk = TripleDesKey::new(k, k, k);
-    assert_eq!(tk.encrypt_block(0x8000000000000000), 0x95F8A5E5DD31D900);
-    assert_eq!(tk.decrypt_block(0x95F8A5E5DD31D900), 0x8000000000000000);
-    // And a genuinely three-key chain must differ from single DES.
-    let tk3 = TripleDesKey::new(
-        DesKey::from_u64(0x0123456789ABCDEF),
-        DesKey::from_u64(0x23456789ABCDEF01),
-        DesKey::from_u64(0x456789ABCDEF0123),
-    );
-    assert_ne!(
-        tk3.encrypt_block(FIPS81_PT[0]),
-        DesKey::from_u64(0x0123456789ABCDEF).encrypt_block(FIPS81_PT[0])
-    );
-}
-
 fn arb_key() -> impl Strategy<Value = DesKey> {
     any::<u64>().prop_map(|v| DesKey::from_u64(v).with_odd_parity())
 }
@@ -96,9 +74,8 @@ testkit::prop! {
     fn fast_roundtrip_and_cache_agree(k in any::<u64>(), pt in any::<u64>()) {
         let key = DesKey::from_u64(k);
         let ks = KeySchedule::new(&key);
-        // DesKey methods go through the thread-local schedule cache;
-        // the free functions take an explicit schedule. Same kernel,
-        // same answer.
+        // DesKey methods expand their own schedule; the free functions
+        // take an explicit one. Same kernel, same answer.
         let ct = key.encrypt_block(pt);
         prop_assert_eq!(ct, des::encrypt_block(&ks, pt));
         prop_assert_eq!(key.decrypt_block(ct), pt);

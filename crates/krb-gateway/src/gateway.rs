@@ -159,7 +159,8 @@ pub struct Gateway<F: Frontend> {
     trace: Tracer,
     trace_now_us: u64,
     /// Reused formatting buffer for per-request metric labels, so the
-    /// admitted-counter label costs no allocation per request (A001).
+    /// admitted-counter label costs no allocation per request (pinned
+    /// in the root `tests/alloc_budget.rs`).
     addr_scratch: String,
 }
 

@@ -12,9 +12,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! rule = "A001"
+//! rule = "C001"
 //! file = "crates/kerberos/src/kdc.rs"
-//! reason = "tracer handle refresh is one Arc refcount bump per batch"
+//! reason = "compares a checksum type enum, not MAC material"
 //! ```
 
 use crate::diag::{Finding, Rule};
@@ -176,10 +176,10 @@ mod tests {
     #[test]
     fn stale_entries_are_reported() {
         let b = Baseline::parse(
-            "[[allow]]\nrule = \"A001\"\nfile = \"gone.rs\"\nreason = \"this file was fixed already\"\n",
+            "[[allow]]\nrule = \"C001\"\nfile = \"gone.rs\"\nreason = \"this file was fixed already\"\n",
         )
         .expect("parses");
-        let stale = b.stale_entries(&[finding(Rule::A001, "other.rs")]);
+        let stale = b.stale_entries(&[finding(Rule::C001, "other.rs")]);
         assert_eq!(stale.len(), 1);
         assert_eq!(stale[0].file, "gone.rs");
     }

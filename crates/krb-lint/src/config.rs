@@ -1,4 +1,4 @@
-//! What the rules consider secret, deterministic, and hot-path.
+//! What the rules consider secret and deterministic.
 //!
 //! This is the lint's registry: the one place future PRs extend when
 //! they add a key-carrying type or a new crate. Everything here is data,
@@ -9,9 +9,7 @@
 /// (S001); hand-written impls must redact (S003).
 pub const SECRET_TYPES: &[&str] = &[
     "DesKey",
-    "TripleDesKey",
     "KeySchedule",
-    "TripleSchedule",
     "ScheduledKey",
     "TaggedKey",
     "SecretBytes",
@@ -54,39 +52,6 @@ pub const SANITIZER_FNS: &[&str] =
 /// lengths, emptiness, tags, and constant-time comparison verdicts.
 pub const SANITIZER_METHODS: &[&str] =
     &["len", "is_empty", "ct_eq", "fingerprint", "tag", "ctype", "kind", "purpose"];
-
-/// The hot-path allocation budget (A001): `(crate, function)` pairs in
-/// which any heap allocation is a finding. These are the per-request /
-/// per-block inner loops kbench's per-layer timings measure; a stray
-/// `clone()` or `format!` here is a throughput regression that no test
-/// catches. `Vec::with_capacity` is deliberately NOT flagged — one
-/// sized allocation per call is the sanctioned way to produce an owned
-/// result (and `extend_from_slice`/`resize` into it do not re-allocate
-/// when the capacity was right).
-pub const HOT_PATH_FNS: &[(&str, &str)] = &[
-    ("kerberos", "seal_with"),
-    ("kerberos", "open_with"),
-    ("kerberos", "open_into"),
-    ("krb-crypto", "encrypt_block"),
-    ("krb-crypto", "decrypt_block"),
-    ("krb-crypto", "feistel"),
-    ("krb-gateway", "handle"),
-    ("krb-ids", "index_windows"),
-    ("krb-trace", "encode_record"),
-];
-
-/// Allocating method calls A001 flags inside a hot-path function.
-pub const ALLOC_METHODS: &[&str] =
-    &["clone", "to_vec", "to_string", "to_owned", "collect", "into_bytes"];
-
-/// Allocating constructor paths (`Vec::new`, `Box::new`, ...) A001
-/// flags inside a hot-path function.
-pub const ALLOC_TYPES: &[&str] = &["Vec", "String", "Box", "BTreeMap", "BTreeSet", "VecDeque"];
-
-/// Allocating macros A001 flags inside a hot-path function. `write!`
-/// into a pre-sized buffer is deliberately absent: formatting into a
-/// reused `String` is the sanctioned fix for `to_string()` churn.
-pub const ALLOC_MACROS: &[&str] = &["format", "vec"];
 
 /// Whether a function, by name, sits on an encode/decode path — the
 /// scope of P003's truncating-cast rule. Length fields on these paths

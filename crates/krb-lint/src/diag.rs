@@ -4,8 +4,9 @@ use std::fmt;
 
 /// Every rule the engine knows, with a stable ID. IDs are never reused:
 /// D001–D003, P001/P002 and H001 were retired into clippy.toml, the
-/// crate-root panic lints and `cargo metadata` (DESIGN.md "Static
-/// invariants"), and their numbers stay retired so baselines and
+/// crate-root panic lints and `cargo metadata`, and the hot-path
+/// allocation rule into the root `tests/alloc_budget.rs` (DESIGN.md
+/// "Static invariants"); their numbers stay retired so baselines and
 /// EXPERIMENTS.md history keep one meaning.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Rule {
@@ -29,9 +30,6 @@ pub enum Rule {
     /// Truncating `as u8/u16/u32` cast on a length-named operand inside
     /// an encode/decode-path function of a deterministic crate.
     P003,
-    /// Heap allocation inside a configured hot-path function
-    /// ([`crate::config::HOT_PATH_FNS`]).
-    A001,
     /// Metric-name drift: a name emitted in code is missing from
     /// DESIGN.md's registry table, or vice versa.
     E001,
@@ -46,7 +44,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::S005,
     Rule::C001,
     Rule::P003,
-    Rule::A001,
     Rule::E001,
 ];
 
@@ -61,7 +58,6 @@ impl Rule {
             Rule::S005 => "S005",
             Rule::C001 => "C001",
             Rule::P003 => "P003",
-            Rule::A001 => "A001",
             Rule::E001 => "E001",
         }
     }
@@ -81,7 +77,6 @@ impl Rule {
             Rule::S005 => "secrets must not reach sinks through renames or calls",
             Rule::C001 => "key/MAC comparison must be constant-time (ct_eq)",
             Rule::P003 => "wire lengths convert via try_from, never `as` casts",
-            Rule::A001 => "hot-path functions stay allocation-free",
             Rule::E001 => "emitted metric names match DESIGN.md's registry",
         }
     }

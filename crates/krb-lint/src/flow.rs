@@ -3,22 +3,20 @@
 //! taint engine ([`crate::taint`]).
 //!
 //! [`analyze_workspace`] is the single entry point; it runs S005 plus
-//! the three structural rules that need function bodies rather than raw
+//! the two structural rules that need function bodies rather than raw
 //! tokens:
 //!
 //! - **P003** — `as u8/u16/u32` on a length-named operand inside an
 //!   encode/decode-path function of a deterministic crate. Wire lengths
 //!   must fail closed (`u32::try_from`), not silently truncate into a
 //!   mis-framed message.
-//! - **A001** — heap allocation inside a configured hot-path function
-//!   ([`crate::config::HOT_PATH_FNS`]).
 //! - **E001** — drift between metric names emitted in code and the
 //!   "Metric name registry" table in DESIGN.md, in both directions.
 
 use crate::callgraph::Graph;
 use crate::config::{
-    is_codec_fn, is_len_ident, is_test_path, ALLOC_MACROS, ALLOC_METHODS, ALLOC_TYPES,
-    DETERMINISTIC_CRATES, HOT_PATH_FNS, METRIC_EMIT_CALLS, METRIC_REGISTRY_HEADING,
+    is_codec_fn, is_len_ident, is_test_path, DETERMINISTIC_CRATES, METRIC_EMIT_CALLS,
+    METRIC_REGISTRY_HEADING,
 };
 use crate::diag::{Finding, Rule};
 use crate::lexer::{is_keyword, lex, TokKind, Token};
@@ -67,7 +65,6 @@ pub fn analyze_workspace(
     let mut out = Vec::new();
     let taint = check_s005(&ctx, &mut out);
     check_p003(&ctx, &mut out);
-    check_a001(&ctx, &mut out);
     check_e001(&ctx, design, &mut out);
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.col, a.rule).cmp(&(b.file.as_str(), b.line, b.col, b.rule))
@@ -162,44 +159,6 @@ fn cast_operand_len_ident(
         }
     }
     found
-}
-
-/// A001: heap allocation inside the configured hot-path functions.
-fn check_a001(ctx: &TaintCtx<'_>, out: &mut Vec<Finding>) {
-    for (file, rel, krate, _, f) in production_fns(ctx) {
-        if !HOT_PATH_FNS.contains(&(krate, f.name.as_str())) {
-            continue;
-        }
-        let (toks, sig) = ctx.toks_sig(file);
-        for call in &f.calls {
-            let what = if call.is_method && ALLOC_METHODS.contains(&call.callee.as_str()) {
-                Some(format!(".{}()", call.callee))
-            } else if call.is_macro && ALLOC_MACROS.contains(&call.callee.as_str()) {
-                Some(format!("{}!", call.callee))
-            } else if !call.is_method && call.callee == "new" {
-                call.path
-                    .last()
-                    .filter(|p| ALLOC_TYPES.contains(&p.as_str()))
-                    .map(|p| format!("{p}::new()"))
-            } else {
-                None
-            };
-            if let Some(what) = what {
-                let at = &toks[sig[call.name_at]];
-                out.push(Finding {
-                    rule: Rule::A001,
-                    file: rel.to_string(),
-                    line: at.line,
-                    col: at.col,
-                    message: format!(
-                        "`{what}` allocates inside hot-path fn `{}`; hoist the buffer, reuse a \
-                         scratch field, or size it once with Vec::with_capacity",
-                        f.name
-                    ),
-                });
-            }
-        }
-    }
 }
 
 /// E001: metric names emitted in code vs DESIGN.md's registry table.
@@ -308,70 +267,6 @@ mod tests {
         assert_eq!(p.len(), 1, "{f:#?}");
         assert!(p[0].message.contains("encode_body"));
         assert!(p[0].message.contains("len as u32"));
-    }
-
-    #[test]
-    fn a001_flags_alloc_but_not_with_capacity() {
-        let src = r#"
-            fn seal_with(&self, key: &ScheduledKey, plaintext: &[u8]) -> Vec<u8> {
-                let mut out = Vec::with_capacity(plaintext.len() + 16);
-                let tag = self.name.clone();
-                let extra = Vec::new();
-                let msg = format!("x");
-                out
-            }
-        "#;
-        let f = run(&[("crates/kerberos/src/enclayer.rs", "kerberos", src)], None);
-        let msgs: Vec<&str> = f
-            .iter()
-            .filter(|x| x.rule == Rule::A001)
-            .map(|x| x.message.as_str())
-            .collect();
-        assert_eq!(msgs.len(), 3, "{f:#?}");
-        assert!(msgs.iter().any(|m| m.contains(".clone()")));
-        assert!(msgs.iter().any(|m| m.contains("Vec::new()")));
-        assert!(msgs.iter().any(|m| m.contains("format!")));
-    }
-
-    #[test]
-    fn a001_guards_the_ids_window_kernel() {
-        // A per-window allocation in the krb-ids cut-paste kernel (here
-        // a fresh distinct-byte set per 16-byte window) is a finding.
-        let src = r#"
-            fn index_windows(state: &mut DetectorState, payload: &[u8]) {
-                for win in payload.windows(16) {
-                    let mut distinct: BTreeSet<u8> = BTreeSet::new();
-                    for &b in win {
-                        distinct.insert(b);
-                    }
-                }
-            }
-        "#;
-        let f = run(&[("crates/krb-ids/src/engine.rs", "krb-ids", src)], None);
-        let a: Vec<_> = f.iter().filter(|x| x.rule == Rule::A001).collect();
-        assert_eq!(a.len(), 1, "{f:#?}");
-        assert!(a[0].message.contains("BTreeSet::new()"));
-        assert!(a[0].message.contains("index_windows"));
-    }
-
-    #[test]
-    fn a001_guards_the_trace_record_writer() {
-        // Every traced event passes through the ring's record writer; an
-        // owned copy per string field there is a finding.
-        let src = r#"
-            fn encode_record(&mut self, ev: &Event, out: &mut Vec<u8>) {
-                for (name, value) in &ev.fields {
-                    if let Value::Str(s) = value {
-                        out.extend_from_slice(s.to_string().as_bytes());
-                    }
-                }
-            }
-        "#;
-        let f = run(&[("crates/krb-trace/src/ring.rs", "krb-trace", src)], None);
-        let a: Vec<_> = f.iter().filter(|x| x.rule == Rule::A001).collect();
-        assert_eq!(a.len(), 1, "{f:#?}");
-        assert!(a[0].message.contains(".to_string()"));
-        assert!(a[0].message.contains("encode_record"));
     }
 
     #[test]

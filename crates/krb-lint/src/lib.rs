@@ -13,8 +13,9 @@
 //! Determinism (no wall clock, OS sockets or `RandomState` maps) lives in
 //! the root `clippy.toml`, panic hygiene in each protocol crate root's
 //! `clippy::unwrap_used`/`panic`/… attributes, and hermeticity in
-//! `verify.sh`'s `cargo metadata` check. Their old rule IDs (D001–D003,
-//! P001/P002, H001) are retired, not reused.
+//! `verify.sh`'s `cargo metadata` check, and allocation counts in the
+//! root `tests/alloc_budget.rs`. Their old rule IDs are retired, not
+//! reused.
 //!
 //! The linter is flow-aware: a brace-matching syntax layer
 //! ([`syntax`]) recovers per-function skeletons from the token stream,
@@ -22,8 +23,7 @@
 //! and a taint engine ([`taint`]) follows secrets through renames and
 //! up to 3 call hops. On top of these sit S005 (cross-function
 //! secret-to-sink taint), P003 (truncating length casts on codec
-//! paths), A001 (hot-path allocation), and E001 (metric-name drift vs
-//! DESIGN.md) — see [`flow`].
+//! paths) and E001 (metric-name drift vs DESIGN.md) — see [`flow`].
 //!
 //! The scanner is a hand-rolled line/column-tracking lexer
 //! ([`lexer`]), so the crate has no dependencies. Suppressions live in

@@ -18,7 +18,7 @@ const SOURCE_RULES: &[Rule] = &[Rule::S001, Rule::S002, Rule::S003, Rule::S004, 
 
 /// Rules of the flow pass (`analyze_workspace`): their fixtures form a
 /// miniature workspace instead of a lone file.
-const FLOW_RULES: &[Rule] = &[Rule::S005, Rule::P003, Rule::A001, Rule::E001];
+const FLOW_RULES: &[Rule] = &[Rule::S005, Rule::P003, Rule::E001];
 
 fn fixture_dir(rule: Rule) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(rule.id())
@@ -80,7 +80,7 @@ fn good_examples_lint_clean() {
 }
 
 /// Runs the flow pass over a miniature workspace: the fixture itself
-/// placed in the kerberos crate's `src/` (deterministic + hot-path
+/// placed in the kerberos crate's `src/` (deterministic + codec
 /// governed), plus the rule's optional `design.md` (E001's registry).
 fn lint_flow_fixture(rule: Rule, name: &str) -> Vec<String> {
     let text = read(rule, name);

@@ -165,13 +165,6 @@ impl StreamListener {
     pub fn new(isn_base: u32) -> Self {
         StreamListener { isn_gen: IsnGenerator::new(isn_base), conns: BTreeMap::new(), delivered: Vec::new() }
     }
-
-    /// Read-only view of the ISN generator (for attacker prediction in
-    /// white-box tests; the real attacker reconstructs it from one
-    /// observed ISN).
-    pub fn isn_generator(&self) -> &IsnGenerator {
-        &self.isn_gen
-    }
 }
 
 impl Service for StreamListener {

@@ -52,13 +52,6 @@ impl TestRng {
         TestRng { inner: Drbg::new(seed) }
     }
 
-    /// A generator seeded from `TESTKIT_SEED` (or the default). Returns
-    /// the seed too, so callers can print it for replay.
-    pub fn from_env() -> (Self, u64) {
-        let seed = seed_from_env();
-        (TestRng::new(seed), seed)
-    }
-
     /// Derives the deterministic sub-generator for one property-test
     /// case: a pure function of (root seed, test name, case index).
     pub fn for_case(root_seed: u64, name: &str, case: u64) -> Self {

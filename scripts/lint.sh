@@ -8,7 +8,7 @@
 # flow-pass coverage counters (E19) come from `cargo run -p bench --bin
 # table_lint_coverage`, which also writes BENCH_lint.json. Determinism
 # and panic hygiene are checked by clippy (clippy.toml and the crate-root
-# lint attributes), not here.
+# lint attributes), and allocations by tests/alloc_budget.rs, not here.
 #
 # Suppressions live in lint-baseline.toml; every entry needs a
 # justification, and entries matching no current finding fail the run,

@@ -2,12 +2,13 @@
 # Tier-1 verification, fully offline:
 #   1. hermeticity — cargo resolves nothing but in-tree path packages
 #   2. static invariants — krb-lint (secrecy, constant-time compare,
-#      wire-length casts, hot-path allocations, metric names) with a
-#      justified-suppression baseline
+#      wire-length casts, metric names) with a justified-suppression
+#      baseline
 #   3. release build of every target (including benches)
 #   4. clippy, warnings denied — this also enforces determinism
 #      (clippy.toml) and panic hygiene (crate-root lint attributes)
-#   5. full test suite, then the experiment runs below
+#   5. full test suite, the allocation budget in release, then the
+#      experiment runs below
 #
 # Usage: scripts/verify.sh   (from anywhere; cd's to the repo root)
 
@@ -52,8 +53,7 @@ echo "ok: all dependencies are in-tree path dependencies"
 echo "== static invariants (krb-lint) =="
 # S001-S005 (secrecy, including the flow-aware cross-function taint),
 # C001 (constant-time compare), P003 (truncating wire-length casts),
-# A001 (hot-path allocations), E001 (metric-name drift against
-# DESIGN.md).
+# E001 (metric-name drift against DESIGN.md).
 cargo run -q --offline -p krb-lint || {
     echo "krb-lint gate failed — fix the findings above, or add a"
     echo "justified [[allow]] entry to lint-baseline.toml"
@@ -68,6 +68,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== tests =="
 cargo test -q --workspace --offline
+
+echo "== allocation budget (release) =="
+# The exact per-operation allocation counts pinned in
+# tests/alloc_budget.rs must also hold in the optimised build kbench
+# measures.
+cargo test -q --release --offline --test alloc_budget
 
 echo "== trace goldens (determinism + narration) =="
 # The observability layer must be purely observational: the pinned A1/V4

@@ -164,11 +164,11 @@ impl Attack for ActiveHarvest {
         // exchange itself — DH does not stop this attack; only
         // preauthentication does.
         let mut padata = Vec::new();
-        let dh_group = krb_crypto::dh::DhGroup::oakley768();
-        let dh_keypair = if config.dh_login {
-            let kp = dh_group.keypair(160, &mut env.rng).expect("keypair");
+        let dh = if config.dh_login {
+            let group = krb_crypto::dh::DhGroup::oakley768();
+            let kp = group.keypair(160, &mut env.rng).expect("keypair");
             padata.push(kerberos::messages::PaData::DhPublic(kp.public.to_bytes_be()));
-            Some(kp)
+            Some((group, kp))
         } else {
             None
         };
@@ -208,10 +208,10 @@ impl Attack for ActiveHarvest {
         };
 
         // Peel the attacker's own DH layer if present.
-        let enc_part = match (&dh_keypair, &rep.dh_public) {
-            (Some(kp), Some(server_pub)) => {
+        let enc_part = match (&dh, &rep.dh_public) {
+            (Some((group, kp)), Some(server_pub)) => {
                 let their = krb_crypto::bignum::BigUint::from_bytes_be(server_pub);
-                let secret = dh_group.shared_secret(&their, &kp.private).expect("shared");
+                let secret = group.shared_secret(&their, &kp.private).expect("shared");
                 let dh_key = krb_crypto::dh::DhGroup::derive_key(&secret);
                 match config.ticket_layer.open(&dh_key, 0, &rep.enc_part) {
                     Ok(inner) => inner,

@@ -107,8 +107,13 @@ pub fn login_at(
 
     // Exponential key exchange under the login dialog. The keypair is
     // drawn once: like the nonce, it identifies this logical exchange.
-    let dh_group = DhGroup::oakley768();
-    let dh_keypair = if config.dh_login { Some(dh_group.keypair(160, rng)?) } else { None };
+    let dh = if config.dh_login {
+        let group = DhGroup::oakley768();
+        let keypair = group.keypair(160, rng)?;
+        Some((group, keypair))
+    } else {
+        None
+    };
 
     let timeout = Some(SimDuration(config.retry.timeout_us));
     // Each replica deserves the full per-server budget: a client with N
@@ -125,7 +130,7 @@ pub fn login_at(
     let result = retry::run(net, &policy, nonce, |net, attempt| {
         let kdc_ep = kdcs[attempt as usize % kdcs.len()];
         let mut padata = Vec::new();
-        if let Some(kp) = &dh_keypair {
+        if let Some((_, kp)) = &dh {
             padata.push(PaData::DhPublic(kp.public.to_bytes_be()));
         }
 
@@ -191,10 +196,10 @@ pub fn login_at(
         let rep = AsRep::decode(config.codec, &reply).map_err(|e| reply_transient(net, e))?;
 
         // Peel the DH layer if present.
-        let inner = if let (Some(kp), Some(server_pub)) = (&dh_keypair, &rep.dh_public) {
-            let their = krb_crypto::bignum::BigUint::from_bytes_be(server_pub);
-            let secret = dh_group
-                .shared_secret(&their, &kp.private)
+        let inner = if let (Some((group, kp)), Some(server_pub)) = (&dh, &rep.dh_public) {
+            let secret = group
+                .peer_public(server_pub)
+                .and_then(|their| group.shared_secret(&their, &kp.private))
                 .map_err(|e| reply_transient(net, KrbError::from(e)))?;
             let dh_key = DhGroup::derive_key(&secret);
             config

@@ -91,7 +91,6 @@ pub struct Kdc {
     pub db: KdcDatabase,
     tgs_key: ScheduledKey,
     rng: Drbg,
-    dh_group: DhGroup,
     /// Per-source AS-request counters for rate limiting: addr ->
     /// (window start µs, count). Bounded at [`RATE_MAP_BOUND`] entries
     /// with deterministic eviction of expired windows.
@@ -142,7 +141,6 @@ impl Kdc {
             db,
             tgs_key,
             rng: Drbg::new(rng_seed),
-            dh_group: DhGroup::oakley768(),
             req_counts: BTreeMap::new(),
             preauth_cache: ReplayCache::new(skew),
             pending_hha: BTreeMap::new(),
@@ -409,18 +407,23 @@ impl Kdc {
         // by a password guess.
         let (dh_public, enc_part) = if self.config.dh_login {
             let client_pub = req.padata.iter().find_map(|p| match p {
-                PaData::DhPublic(b) => Some(b.clone()),
+                PaData::DhPublic(b) => Some(b),
                 _ => None,
             });
             let Some(client_pub) = client_pub else {
                 return self.error(err_code::PREAUTH_REQUIRED, "DH public value required");
             };
-            let kp = match self.dh_group.keypair(160, &mut self.rng) {
+            // Check the client's value before spending a modexp on ours.
+            let group = DhGroup::oakley768();
+            let their = match group.peer_public(client_pub) {
+                Ok(y) => y,
+                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
+            };
+            let kp = match group.keypair(160, &mut self.rng) {
                 Ok(kp) => kp,
                 Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
             };
-            let their = krb_crypto::bignum::BigUint::from_bytes_be(&client_pub);
-            let secret = match self.dh_group.shared_secret(&their, &kp.private) {
+            let secret = match group.shared_secret(&their, &kp.private) {
                 Ok(s) => s,
                 Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
             };

@@ -5,7 +5,7 @@
 use kerberos::appserver::connect_app;
 use kerberos::authenticator::Authenticator;
 use kerberos::client::{get_service_ticket, login, Credential, LoginInput, TgsParams};
-use kerberos::messages::{deframe, ApReq, TgsReq, WireKind};
+use kerberos::messages::{deframe, err_code, ApReq, AsRep, AsReq, KrbErrorMsg, PaData, TgsReq, WireKind};
 use kerberos::testbed::standard_campus;
 use kerberos::{KrbError, Principal, ProtocolConfig};
 use krb_crypto::checksum;
@@ -368,4 +368,78 @@ fn in_reply_ticket_corruption_detected_only_with_ticket_checksum() {
     // With recommendation (c): the client rejects the reply on the spot.
     let (got, _) = run(true);
     assert!(matches!(got, Err(KrbError::BadChecksum)), "got {got:?}");
+}
+
+/// Recommendation (h) hides `{...}K_c` only while the DH key is secret.
+/// A client value of 0 or 1, p−1, or one at or past p pins the shared
+/// secret to a constant anyone can derive, so the KDC must answer such an
+/// AS-REQ with a KRB-ERROR, never an AS-REP sealed under that key.
+#[test]
+fn kdc_rejects_degenerate_dh_public_values() {
+    use krb_crypto::bignum::BigUint;
+    let mut config = ProtocolConfig::v5_draft3();
+    config.dh_login = true;
+    let mut e = env(config.clone(), 14);
+    let p = krb_crypto::dh::DhGroup::oakley768().p;
+    let one = BigUint::one();
+    let mut send = |dh_public: Vec<u8>| {
+        let req = AsReq {
+            client: e.realm.user("pat"),
+            service: Principal::tgs(&e.realm.name),
+            nonce: 14,
+            lifetime_us: config.ticket_lifetime_us,
+            addr: e.realm.user_ep("pat").addr.0,
+            options: kerberos::flags::KdcOptions::empty(),
+            padata: vec![PaData::DhPublic(dh_public)],
+        };
+        e.net.rpc(e.realm.user_ep("pat"), e.realm.kdc_ep, req.encode(config.codec)).unwrap()
+    };
+    let degenerate = [
+        Vec::new(),
+        vec![1],
+        p.sub(&one).to_bytes_be(),
+        p.to_bytes_be(),
+        one.shl_bits(800).to_bytes_be(),
+    ];
+    for value in degenerate {
+        let reply = send(value.clone());
+        let err = KrbErrorMsg::decode(config.codec, &reply)
+            .unwrap_or_else(|_| panic!("an AS-REP for DH public value {value:02x?}"));
+        assert_eq!(err.code, err_code::GENERIC, "{value:02x?}");
+    }
+    // The extremes of the legal range still get an AS-REP.
+    for value in [vec![2], p.sub(&BigUint::from_u64(2)).to_bytes_be()] {
+        assert_eq!(deframe(&send(value)).unwrap().0, WireKind::AsRep);
+    }
+}
+
+/// The client applies the same check to the KDC's value: an in-path
+/// attacker who rewrites the AS-REP's DH public value to 1 gets the login
+/// refused as a DH failure, before any unsealing under the constant key.
+#[test]
+fn client_rejects_degenerate_dh_public_value() {
+    use simnet::{ScriptedTap, Verdict};
+
+    let mut config = ProtocolConfig::v5_draft3();
+    config.dh_login = true;
+    let mut e = env(config.clone(), 15);
+    let codec = config.codec;
+    e.net.set_tap(Box::new(ScriptedTap::new(move |d: &mut Datagram, _| {
+        if let Ok(mut rep) = AsRep::decode(codec, &d.payload) {
+            rep.dh_public = Some(vec![1]);
+            d.payload = rep.encode(codec).into();
+        }
+        Verdict::Deliver
+    })));
+    let got = login(
+        &mut e.net,
+        &e.config,
+        e.realm.user_ep("pat"),
+        e.realm.kdc_ep,
+        &e.realm.user("pat"),
+        LoginInput::Password("correct-horse-battery"),
+        &mut e.rng,
+    );
+    let want = KrbError::from(krb_crypto::CryptoError::BadDhPublic);
+    assert_eq!(got.map(|_| ()), Err(want));
 }

@@ -14,8 +14,7 @@ mod modular;
 mod montgomery;
 mod muldiv;
 
-pub use modular::{miller_rabin, mod_exp, mod_inverse, random_below, random_bits};
-pub use montgomery::{mod_exp_fast, MontgomeryCtx};
+pub use modular::{miller_rabin, mod_exp, mod_exp_reference, mod_inverse, random_below, random_bits};
 
 use crate::error::CryptoError;
 use std::cmp::Ordering;

@@ -4,8 +4,19 @@ use super::BigUint;
 use crate::error::CryptoError;
 use crate::rng::RandomSource;
 
-/// Computes `base^exp mod modulus` by left-to-right square-and-multiply.
+/// Computes `base^exp mod modulus`. Odd moduli above 1 run the in-place
+/// Montgomery kernel; the rest take [`mod_exp_reference`].
 pub fn mod_exp(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> Result<BigUint, CryptoError> {
+    if modulus.is_even() || modulus.bit_len() < 2 {
+        return mod_exp_reference(base, exp, modulus);
+    }
+    super::montgomery::mod_exp_odd(base, exp, modulus)
+}
+
+/// The division-based reference: left-to-right square-and-multiply with
+/// a Knuth-division reduction after every product. Even moduli take it,
+/// and the tests and the `modexp_impl_768bit` bench hold the kernel to it.
+pub fn mod_exp_reference(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> Result<BigUint, CryptoError> {
     if modulus.is_zero() {
         return Err(CryptoError::DivideByZero);
     }

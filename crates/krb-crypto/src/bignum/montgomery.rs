@@ -1,126 +1,144 @@
-//! Montgomery-form modular exponentiation for odd moduli.
+//! The in-place Montgomery kernel that [`super::mod_exp`] runs for every
+//! odd modulus above 1.
 //!
-//! The plain [`super::mod_exp`] reduces with Knuth division after every
-//! multiplication; Montgomery's method replaces the division with adds
-//! and shifts. Results are verified against the division-based path by
-//! property test. Measured honestly (bench `modexp_impl_768bit`), this
-//! allocation-per-REDC implementation does NOT beat the division path —
-//! both are O(n²) per multiply, and the Montgomery conversions plus
-//! per-step `BigUint` allocations dominate. It stays in the tree as the
-//! correctness-checked basis for a future in-place variant, and as a
-//! data point for E4's cost discussion.
+//! CIOS Montgomery multiplication (Koç, Acar & Kaliski 1996) over `u64`
+//! words packed from the `u32` limbs, driven by a 4-bit fixed window.
+//! Each call takes one scratch buffer sized from the modulus (modulus
+//! words, window table, accumulator, the constant 1 and the CIOS row), so
+//! the exponent loop allocates nothing, whatever the exponent's length.
+//! m′ and R² mod m are rebuilt on every call (R² takes ≈2 µs at 768 bits,
+//! about 3% of one modexp): nothing is cached between calls.
 
-use super::{mod_exp, BigUint};
+use super::BigUint;
 use crate::error::CryptoError;
+use std::cmp::Ordering;
 
-/// Precomputed Montgomery context for an odd modulus.
-pub struct MontgomeryCtx {
-    /// The modulus (odd).
-    pub m: BigUint,
-    /// Number of limbs in the modulus.
-    n: usize,
-    /// -m^{-1} mod 2^32.
-    m_prime: u32,
-    /// R^2 mod m, with R = 2^(32n).
-    r2: BigUint,
+/// Exponent bits consumed per table lookup.
+const WINDOW: usize = 4;
+
+/// Computes `base^exp mod m` for an odd `m > 1`.
+pub(super) fn mod_exp_odd(base: &BigUint, exp: &BigUint, m: &BigUint) -> Result<BigUint, CryptoError> {
+    let n = m.limbs.len().div_ceil(2);
+    // R = 2^(64n).
+    let r2 = BigUint::one().shl_bits(128 * n).rem(m)?;
+    let base = base.rem(m)?;
+
+    let mut scratch = vec![0u64; ((1 << WINDOW) + 4) * n + 2];
+    let (modulus, rest) = scratch.split_at_mut(n);
+    let (table, rest) = rest.split_at_mut(n << WINDOW);
+    let (acc, rest) = rest.split_at_mut(n);
+    let (one, t) = rest.split_at_mut(n);
+    load(modulus, m);
+    let m_inv = neg_inverse(modulus[0]);
+    one[0] = 1;
+
+    // table[d] = base^d · R mod m: table[0] = REDC(R²), table[1] =
+    // base·R² / R, and each further entry one product more.
+    load(acc, &r2);
+    mont_mul(t, acc, one, modulus, m_inv);
+    table[..n].copy_from_slice(&t[..n]);
+    load(&mut table[n..2 * n], &base);
+    mont_mul(t, &table[n..2 * n], acc, modulus, m_inv);
+    table[n..2 * n].copy_from_slice(&t[..n]);
+    for d in 2..1 << WINDOW {
+        mont_mul(t, &table[(d - 1) * n..d * n], &table[n..2 * n], modulus, m_inv);
+        table[d * n..(d + 1) * n].copy_from_slice(&t[..n]);
+    }
+
+    // Left to right, one window at a time; the top window seeds the
+    // accumulator (exp = 0 leaves it at 1·R).
+    let windows = exp.bit_len().div_ceil(WINDOW);
+    let digit = |w: usize| (exp.limbs[w * WINDOW / 32] >> (w * WINDOW % 32)) as usize % (1 << WINDOW);
+    let top = windows.checked_sub(1).map_or(0, digit);
+    acc.copy_from_slice(&table[top * n..(top + 1) * n]);
+    for w in (0..windows.saturating_sub(1)).rev() {
+        for _ in 0..WINDOW {
+            mont_mul(t, acc, acc, modulus, m_inv);
+            acc.copy_from_slice(&t[..n]);
+        }
+        let d = digit(w);
+        if d != 0 {
+            mont_mul(t, acc, &table[d * n..(d + 1) * n], modulus, m_inv);
+            acc.copy_from_slice(&t[..n]);
+        }
+    }
+
+    // Out of Montgomery form: acc · 1 · R⁻¹.
+    mont_mul(t, acc, one, modulus, m_inv);
+    let mut limbs = Vec::with_capacity(2 * n);
+    for &w in &t[..n] {
+        limbs.extend([w as u32, (w >> 32) as u32]);
+    }
+    let mut out = BigUint { limbs };
+    out.normalize();
+    Ok(out)
 }
 
-impl MontgomeryCtx {
-    /// Builds a context; fails for even or trivial moduli.
-    pub fn new(m: &BigUint) -> Result<Self, CryptoError> {
-        if m.is_even() || m.bit_len() < 2 {
-            return Err(CryptoError::BadKey("Montgomery requires an odd modulus > 1"));
-        }
-        let n = m.limbs.len();
-        let m0 = m.limbs[0];
-
-        // Newton iteration for the inverse of m0 mod 2^32: each step
-        // doubles the valid bits.
-        let mut inv: u32 = 1;
-        for _ in 0..5 {
-            inv = inv.wrapping_mul(2u32.wrapping_sub(m0.wrapping_mul(inv)));
-        }
-        debug_assert_eq!(m0.wrapping_mul(inv), 1);
-        let m_prime = inv.wrapping_neg();
-
-        // R^2 mod m via shifting (2n limbs = 64n bits of doubling).
-        let r2 = BigUint::one().shl_bits(64 * n).rem(m)?;
-
-        Ok(MontgomeryCtx { m: m.clone(), n, m_prime, r2 })
-    }
-
-    /// Montgomery reduction of a (≤ 2n limb) product: returns t·R^{-1}
-    /// mod m.
-    fn redc(&self, t: &BigUint) -> BigUint {
-        let n = self.n;
-        let mut a = t.limbs.clone();
-        a.resize(2 * n + 1, 0);
-
-        for i in 0..n {
-            let u = a[i].wrapping_mul(self.m_prime);
-            // a += u * m << (32 * i)
-            let mut carry = 0u64;
-            for j in 0..n {
-                let cur = u64::from(a[i + j]) + u64::from(u) * u64::from(self.m.limbs[j]) + carry;
-                a[i + j] = cur as u32;
-                carry = cur >> 32;
-            }
-            let mut k = i + n;
-            while carry != 0 {
-                let cur = u64::from(a[k]) + carry;
-                a[k] = cur as u32;
-                carry = cur >> 32;
-                k += 1;
-            }
-        }
-
-        // Shift right by n limbs.
-        let mut out = BigUint { limbs: a[n..].to_vec() };
-        out.normalize();
-        if out >= self.m {
-            out = out.sub(&self.m);
-        }
-        out
-    }
-
-    /// Multiplies two Montgomery-form values.
-    fn mont_mul(&self, x: &BigUint, y: &BigUint) -> BigUint {
-        self.redc(&x.mul(y))
-    }
-
-    /// Converts into Montgomery form.
-    fn to_mont(&self, x: &BigUint) -> Result<BigUint, CryptoError> {
-        Ok(self.mont_mul(&x.rem(&self.m)?, &self.r2))
-    }
-
-    /// Computes `base^exp mod m` by square-and-multiply over Montgomery
-    /// arithmetic.
-    pub fn mod_exp(&self, base: &BigUint, exp: &BigUint) -> Result<BigUint, CryptoError> {
-        let base_m = self.to_mont(base)?;
-        let mut acc = self.to_mont(&BigUint::one())?;
-        for i in (0..exp.bit_len()).rev() {
-            acc = self.mont_mul(&acc, &acc);
-            if exp.bit(i) {
-                acc = self.mont_mul(&acc, &base_m);
-            }
-        }
-        // Convert out of Montgomery form: multiply by 1.
-        Ok(self.redc(&acc))
+/// Packs `x`'s `u32` limbs into `dst`'s `u64` words, zero-filling the
+/// rest; `x` has at most `2 · dst.len()` limbs.
+fn load(dst: &mut [u64], x: &BigUint) {
+    dst.fill(0);
+    for (w, pair) in dst.iter_mut().zip(x.limbs.chunks(2)) {
+        *w = u64::from(pair[0]) | pair.get(1).map_or(0, |&hi| u64::from(hi) << 32);
     }
 }
 
-/// Convenience: Montgomery modexp when the modulus is odd, falling back
-/// to the division-based path otherwise.
-pub fn mod_exp_fast(base: &BigUint, exp: &BigUint, modulus: &BigUint) -> Result<BigUint, CryptoError> {
-    match MontgomeryCtx::new(modulus) {
-        Ok(ctx) => ctx.mod_exp(base, exp),
-        Err(_) => mod_exp(base, exp, modulus),
+/// −m⁻¹ mod 2^64 for odd `m0`, by Newton's iteration: `m0` is its own
+/// inverse to 3 bits, and each step doubles the correct bits.
+fn neg_inverse(m0: u64) -> u64 {
+    let mut inv = m0;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+    }
+    inv.wrapping_neg()
+}
+
+/// `t + a·b + carry` as (low word, high word); cannot overflow.
+fn mac(t: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
+    let s = u128::from(t) + u128::from(a) * u128::from(b) + u128::from(carry);
+    (s as u64, (s >> 64) as u64)
+}
+
+/// The CIOS Montgomery product: leaves `a·b·R⁻¹ mod m` in `t[..n]` for
+/// `a, b < m`, where `n = m.len()` and `t` has `n + 2` words.
+fn mont_mul(t: &mut [u64], a: &[u64], b: &[u64], m: &[u64], m_inv: u64) {
+    let n = m.len();
+    let (t, a, b) = (&mut t[..n + 2], &a[..n], &b[..n]);
+    t.fill(0);
+    for &bi in b {
+        // t += a·b_i.
+        let mut carry = 0;
+        for (tj, &aj) in t.iter_mut().zip(a) {
+            (*tj, carry) = mac(*tj, aj, bi, carry);
+        }
+        let (lo, over) = t[n].overflowing_add(carry);
+        (t[n], t[n + 1]) = (lo, u64::from(over));
+        // t = (t + u·m) / 2^64, with u chosen to clear the low word.
+        let u = t[0].wrapping_mul(m_inv);
+        let (_, mut carry) = mac(t[0], u, m[0], 0);
+        for j in 1..n {
+            (t[j - 1], carry) = mac(t[j], u, m[j], carry);
+        }
+        let (lo, over) = t[n].overflowing_add(carry);
+        t[n - 1] = lo;
+        t[n] = t[n + 1] + u64::from(over);
+    }
+    // t < 2m: at most one subtraction lands it in [0, m).
+    if t[n] != 0 || t[..n].iter().rev().cmp(m.iter().rev()) != Ordering::Less {
+        let mut borrow = false;
+        for (tj, &mj) in t[..n].iter_mut().zip(m) {
+            let (d, b1) = tj.overflowing_sub(mj);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *tj = d;
+            borrow = b1 | b2;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bignum::{mod_exp, mod_exp_reference};
     use crate::dh::DhGroup;
 
     fn n(hex: &str) -> BigUint {
@@ -130,40 +148,36 @@ mod tests {
     #[test]
     fn matches_division_path_small() {
         let m = BigUint::from_u64(1_000_003);
-        let ctx = MontgomeryCtx::new(&m).unwrap();
         for (b, e) in [(2u64, 10u64), (3, 0), (0, 5), (999_999, 999_999), (7, 1)] {
-            let want = mod_exp(&BigUint::from_u64(b), &BigUint::from_u64(e), &m).unwrap();
-            let got = ctx.mod_exp(&BigUint::from_u64(b), &BigUint::from_u64(e)).unwrap();
-            assert_eq!(got, want, "b={b} e={e}");
+            let (b, e) = (BigUint::from_u64(b), BigUint::from_u64(e));
+            assert_eq!(mod_exp_odd(&b, &e, &m).unwrap(), mod_exp_reference(&b, &e, &m).unwrap(), "b={b} e={e}");
         }
     }
 
     #[test]
     fn matches_division_path_oakley() {
-        let g = DhGroup::oakley768();
-        let ctx = MontgomeryCtx::new(&g.p).unwrap();
+        let p = DhGroup::oakley768().p;
         let base = n("123456789abcdef0fedcba9876543210");
         let exp = n("deadbeefcafef00d1234");
-        assert_eq!(ctx.mod_exp(&base, &exp).unwrap(), mod_exp(&base, &exp, &g.p).unwrap());
+        assert_eq!(mod_exp_odd(&base, &exp, &p).unwrap(), mod_exp_reference(&base, &exp, &p).unwrap());
     }
 
+    /// m′ exists only for odd moduli, so `mod_exp` keeps the even modulus
+    /// 100 and the modulus 1 off the kernel; both still compute.
     #[test]
     fn rejects_even_modulus() {
-        assert!(MontgomeryCtx::new(&BigUint::from_u64(100)).is_err());
-        assert!(MontgomeryCtx::new(&BigUint::one()).is_err());
-        // Fallback still computes.
-        let r = mod_exp_fast(&BigUint::from_u64(3), &BigUint::from_u64(4), &BigUint::from_u64(100)).unwrap();
-        assert_eq!(r.to_u64(), Some(81));
+        let (three, four) = (BigUint::from_u64(3), BigUint::from_u64(4));
+        assert_eq!(mod_exp(&three, &four, &BigUint::from_u64(100)).unwrap().to_u64(), Some(81));
+        assert_eq!(mod_exp(&three, &four, &BigUint::one()).unwrap(), BigUint::zero());
     }
 
     #[test]
     fn dh_agreement_via_montgomery() {
         let g = DhGroup::small192();
-        let ctx = MontgomeryCtx::new(&g.p).unwrap();
         let a = n("aabbccddeeff00112233");
         let b = n("99887766554433221100");
-        let ga = ctx.mod_exp(&g.g, &a).unwrap();
-        let gb = ctx.mod_exp(&g.g, &b).unwrap();
-        assert_eq!(ctx.mod_exp(&gb, &a).unwrap(), ctx.mod_exp(&ga, &b).unwrap());
+        let ga = mod_exp_odd(&g.g, &a, &g.p).unwrap();
+        let gb = mod_exp_odd(&g.g, &b, &g.p).unwrap();
+        assert_eq!(mod_exp_odd(&gb, &a, &g.p).unwrap(), mod_exp_odd(&ga, &b, &g.p).unwrap());
     }
 }

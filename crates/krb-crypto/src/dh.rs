@@ -153,6 +153,18 @@ impl DhGroup {
         Ok(DhKeyPair { private, public })
     }
 
+    /// Parses a peer's public value from its big-endian wire bytes. A
+    /// value outside [2, p−2] is rejected: 0, 1 and p−1 (or anything
+    /// congruent to them) pin the shared secret to 0, 1 or ±1, a constant
+    /// an active attacker can derive and so strip the DH layer with.
+    pub fn peer_public(&self, bytes: &[u8]) -> Result<BigUint, CryptoError> {
+        let y = BigUint::from_bytes_be(bytes);
+        if y.bit_len() < 2 || y >= self.p.sub(&BigUint::one()) {
+            return Err(CryptoError::BadDhPublic);
+        }
+        Ok(y)
+    }
+
     /// Computes the shared secret from the peer's public value.
     pub fn shared_secret(&self, their_public: &BigUint, my_private: &BigUint) -> Result<BigUint, CryptoError> {
         mod_exp(their_public, my_private, &self.p)
@@ -222,6 +234,21 @@ mod tests {
         let gq = mod_exp(&ts.g, &q, &ts.p).unwrap();
         assert_eq!(gq, BigUint::one());
         assert_ne!(ts.g, BigUint::one());
+    }
+
+    #[test]
+    fn peer_public_accepts_only_2_to_p_minus_2() {
+        let group = DhGroup::oakley768();
+        let one = BigUint::one();
+        let p_minus = |k: u64| group.p.sub(&BigUint::from_u64(k)).to_bytes_be();
+        for bad in [vec![], vec![0], vec![1], p_minus(1), group.p.to_bytes_be(), one.shl_bits(800).to_bytes_be()] {
+            assert_eq!(group.peer_public(&bad), Err(CryptoError::BadDhPublic), "{bad:02x?}");
+        }
+        for good in [vec![2], vec![0, 0, 2], p_minus(2)] {
+            assert_eq!(group.peer_public(&good), Ok(BigUint::from_bytes_be(&good)));
+        }
+        let honest = group.keypair(160, &mut Drbg::new(15)).unwrap().public;
+        assert_eq!(group.peer_public(&honest.to_bytes_be()), Ok(honest));
     }
 
     #[test]

@@ -24,6 +24,8 @@ pub enum CryptoError {
     DivideByZero,
     /// A key failed a policy check (weak key, bad parity).
     BadKey(&'static str),
+    /// A peer's Diffie-Hellman public value lies outside [2, p−2].
+    BadDhPublic,
 }
 
 impl fmt::Display for CryptoError {
@@ -38,6 +40,7 @@ impl fmt::Display for CryptoError {
             CryptoError::DlogNotFound => write!(f, "discrete log not found within bound"),
             CryptoError::DivideByZero => write!(f, "bignum division by zero"),
             CryptoError::BadKey(why) => write!(f, "bad key: {why}"),
+            CryptoError::BadDhPublic => write!(f, "DH public value outside [2, p-2]"),
         }
     }
 }

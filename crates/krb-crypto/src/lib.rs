@@ -27,6 +27,7 @@
 //!   [`SecretBytes`] redaction wrapper; the sanctioned fixes for
 //!   krb-lint rules C001 and S001.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), warn(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 

@@ -3,7 +3,7 @@
 //! Runs on `testkit::prop` — deterministic and hermetic. Replay any
 //! failure with the printed `TESTKIT_SEED`.
 
-use krb_crypto::bignum::{mod_exp, mod_inverse, BigUint};
+use krb_crypto::bignum::{mod_exp, mod_exp_reference, mod_inverse, BigUint};
 use krb_crypto::crc32::{crc32, forge_suffix};
 use krb_crypto::des::DesKey;
 use krb_crypto::md4::md4;
@@ -177,16 +177,42 @@ testkit::prop! {
         prop_assert!(!k.is_weak());
     }
 
-    /// Montgomery exponentiation agrees with the division-based path on
-    /// arbitrary odd moduli.
-    fn montgomery_matches_division(base in any::<u128>(), exp in any::<u64>(), m in any::<u128>()) {
-        let modulus = BigUint::from_hex(&format!("{:x}", m | 1)).unwrap(); // force odd
-        if modulus.bit_len() >= 2 {
-            let b = BigUint::from_hex(&format!("{base:x}")).unwrap();
-            let e = BigUint::from_u64(exp);
-            let want = mod_exp(&b, &e, &modulus).unwrap();
-            let got = krb_crypto::bignum::mod_exp_fast(&b, &e, &modulus).unwrap();
-            prop_assert_eq!(got, want);
-        }
+    /// The Montgomery kernel agrees with the division-based reference on
+    /// odd moduli of 64 to 1024 bits (top bit set), for bases 0, 1, m−1,
+    /// ≥ m and arbitrary, and exponents 0, 1 and up to 1024 bits.
+    fn mod_exp_matches_reference(
+        bits in 64usize..=1024,
+        m_bytes in collection::vec(any::<u8>(), 128),
+        base_kind in 0u8..5,
+        base_bytes in collection::vec(any::<u8>(), 0..=136),
+        exp_kind in 0u8..4,
+        exp_bytes in collection::vec(any::<u8>(), 1..=128),
+    ) {
+        let m = odd_modulus(bits, &m_bytes);
+        let arbitrary = BigUint::from_bytes_be(&base_bytes);
+        let base = match base_kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            2 => m.sub(&BigUint::one()),
+            3 => m.add(&arbitrary),
+            _ => arbitrary,
+        };
+        let exp = match exp_kind {
+            0 => BigUint::zero(),
+            1 => BigUint::one(),
+            _ => BigUint::from_bytes_be(&exp_bytes),
+        };
+        prop_assert_eq!(mod_exp(&base, &exp, &m).unwrap(), mod_exp_reference(&base, &exp, &m).unwrap());
     }
+}
+
+/// An odd modulus of exactly `bits` bits drawn from `bytes`.
+fn odd_modulus(bits: usize, bytes: &[u8]) -> BigUint {
+    let mut be = bytes[..bits.div_ceil(8)].to_vec();
+    let excess = be.len() * 8 - bits;
+    be[0] = (be[0] & (0xff >> excess)) | (0x80 >> excess);
+    if let Some(low) = be.last_mut() {
+        *low |= 1;
+    }
+    BigUint::from_bytes_be(&be)
 }

@@ -31,8 +31,10 @@ use kerberos::messages::{
 use kerberos::testbed::{standard_campus, DeployedRealm};
 use kerberos::ticket::Ticket;
 use kerberos::{get_service_ticket_at, Authenticator, Principal, ProtocolConfig};
+use krb_crypto::bignum::{mod_exp, random_bits};
 use krb_crypto::checksum::{self, ChecksumType};
 use krb_crypto::des::{self, DesKey};
+use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::Drbg;
 use krb_gateway::GatewayConfig;
 use krb_trace::{Event, EventKind, Tracer, Value};
@@ -126,13 +128,15 @@ fn counter_counts_each_allocation_once() {
     assert_eq!(n, 1, "a push past capacity reallocates once");
 }
 
-/// `[block encrypt, block decrypt]` and `[seal, open]` of 128 B.
+/// `[block encrypt, block decrypt]`, `[seal, open]` of 128 B, and one
+/// Oakley-768 `mod_exp` with `[a 160-bit, a 1024-bit]` exponent.
 const CRYPTO: Table = &[
     ("des block, held schedule", &[0, 0]),
     ("des block, DesKey", &[0, 0]),
     ("seal/open v4-pcbc", &[1, 1]),
     ("seal/open v5-cbc", &[1, 1]),
     ("seal/open hardened", &[3, 3]),
+    ("mod_exp oakley-768", &[13, 13]),
 ];
 
 #[test]
@@ -161,6 +165,19 @@ fn crypto_budget() {
         assert_eq!(opened.expect("open"), plaintext);
         actual.push((op, vec![seal, open]));
     }
+
+    // The Montgomery kernel allocates per call, never per multiply: a
+    // six times longer exponent costs no extra allocation.
+    let group = DhGroup::oakley768();
+    let counts: Vec<u64> = [160, 1024]
+        .into_iter()
+        .map(|bits| {
+            let exp = random_bits(bits, &mut rng);
+            allocs(|| mod_exp(&group.g, &exp, &group.p).expect("odd modulus")).0
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "mod_exp allocations grow with the exponent");
+    actual.push(("mod_exp oakley-768", counts));
     assert_budget("CRYPTO", CRYPTO, &actual);
 }
 
@@ -355,9 +372,9 @@ fn session_counts(config: &ProtocolConfig, sessions: usize) -> Vec<[u64; 4]> {
 /// growing log or map (the app server's auth log doubling, a B-tree
 /// split), which lands on different sessions as the tree changes.
 const SESSION: Table = &[
-    ("v4", &[109, 128, 90, 33]),
-    ("v5_draft3", &[113, 133, 94, 45]),
-    ("hardened", &[7136, 161, 132, 54]),
+    ("v4", &[101, 128, 90, 33]),
+    ("v5_draft3", &[105, 133, 94, 45]),
+    ("hardened", &[279, 161, 132, 54]),
 ];
 
 #[test]

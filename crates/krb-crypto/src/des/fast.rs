@@ -16,6 +16,12 @@
 //!   instead of a 64-entry table walk. FP runs the same involutions in
 //!   reverse order, so `fp(ip(x)) == x` by construction.
 //!
+//! - One round loop serves `N` lanes: [`encrypt_blocks`] and
+//!   [`decrypt_blocks`] step `N` independent blocks, each under its own
+//!   schedule, through every round together, so their table-load
+//!   latencies overlap. [`encrypt_block`] and [`decrypt_block`] are its
+//!   one-lane instance.
+//!
 //! All tables are `const`-built from the FIPS tables in
 //! [`tables`](super::tables) — a single source of truth — and the
 //! differential proptests in `tests/des_kat.rs` pin this kernel
@@ -132,27 +138,49 @@ pub(crate) fn final_permutation(mut l: u32, mut r: u32) -> u64 {
     (u64::from(l) << 32) | u64::from(r)
 }
 
-/// Encrypts a single 64-bit block.
-pub fn encrypt_block(ks: &KeySchedule, block: u64) -> u64 {
-    let (mut l, mut r) = initial_permutation(block);
-    for &rk in ks.sp_keys() {
-        let next_r = l ^ feistel(r, rk);
-        l = r;
-        r = next_r;
+/// Runs the sixteen rounds over `N` independent blocks, each under its
+/// own schedule, stepping every lane through a round before the next
+/// round starts. A round waits on its predecessor's table loads, so one
+/// block is latency-bound; `N` independent chains overlap those waits.
+/// Decryption walks the round keys backwards.
+#[inline(always)]
+fn crypt_lanes<const N: usize, const DECRYPT: bool>(
+    ks: [&KeySchedule; N],
+    blocks: [u64; N],
+) -> [u64; N] {
+    let mut lr = blocks.map(initial_permutation);
+    for round in 0..16 {
+        let k = if DECRYPT { 15 - round } else { round };
+        for (lane, (l, r)) in lr.iter_mut().enumerate() {
+            let next_r = *l ^ feistel(*r, ks[lane].sp_keys()[k]);
+            *l = *r;
+            *r = next_r;
+        }
     }
     // The final swap: the preoutput is R16 || L16.
-    final_permutation(r, l)
+    lr.map(|(l, r)| final_permutation(r, l))
 }
 
-/// Decrypts a single 64-bit block.
+/// Encrypts `N` blocks, lane `i` under `ks[i]`, in lockstep.
+pub fn encrypt_blocks<const N: usize>(ks: [&KeySchedule; N], blocks: [u64; N]) -> [u64; N] {
+    crypt_lanes::<N, false>(ks, blocks)
+}
+
+/// Decrypts `N` blocks, lane `i` under `ks[i]`, in lockstep.
+pub fn decrypt_blocks<const N: usize>(ks: [&KeySchedule; N], blocks: [u64; N]) -> [u64; N] {
+    crypt_lanes::<N, true>(ks, blocks)
+}
+
+/// Encrypts a single 64-bit block: the one-lane [`encrypt_blocks`].
+pub fn encrypt_block(ks: &KeySchedule, block: u64) -> u64 {
+    let [out] = encrypt_blocks([ks], [block]);
+    out
+}
+
+/// Decrypts a single 64-bit block: the one-lane [`decrypt_blocks`].
 pub fn decrypt_block(ks: &KeySchedule, block: u64) -> u64 {
-    let (mut l, mut r) = initial_permutation(block);
-    for &rk in ks.sp_keys().iter().rev() {
-        let next_r = l ^ feistel(r, rk);
-        l = r;
-        r = next_r;
-    }
-    final_permutation(r, l)
+    let [out] = decrypt_blocks([ks], [block]);
+    out
 }
 
 #[cfg(test)]

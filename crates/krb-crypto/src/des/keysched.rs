@@ -6,22 +6,22 @@
 //! tables are derived at compile time from the FIPS `PC1`/`PC2` tables,
 //! so there is a single source of truth.
 //!
-//! Alongside the classic right-aligned 48-bit round keys (kept for the
-//! reference kernel and the worked-example tests), the schedule stores
-//! each round key pre-split into the two packed halves the fast kernel's
-//! round function consumes (see `fast::split_round_key`).
+//! The PC-2 table is fused with the fast kernel's key split (see
+//! `fast::split_round_key`): the split is a bit permutation, so it
+//! distributes over the OR of table entries, and each entry already
+//! holds its chunk's bits at their split positions. A round key is then
+//! eight lookups, stored only in the split form the round function
+//! consumes. The classic 48-bit round keys live in
+//! [`reference`](super::reference), built by a per-bit walk.
 
 use super::fast::split_round_key;
 use super::tables::{PC1, PC2, SHIFTS};
 use super::DesKey;
 
-/// The sixteen 48-bit round keys, stored right-aligned in u64s.
-pub type RoundKeys = [u64; 16];
-
-/// An expanded DES key.
+/// An expanded DES key: the sixteen round keys, each pre-split into the
+/// two packed halves the fast kernel's round function consumes.
 #[derive(Clone)]
 pub struct KeySchedule {
-    round_keys: RoundKeys,
     sp_keys: [(u32, u32); 16],
 }
 
@@ -29,7 +29,8 @@ pub struct KeySchedule {
 /// 56-bit C‖D value with exactly that byte's selected bits placed.
 static PC1_T: [[u64; 256]; 8] = build_pc1();
 
-/// PC-2 contribution of each 7-bit C‖D chunk.
+/// PC-2 contribution of each 7-bit C‖D chunk, already split: the high
+/// word is the chunk's share of `ka`, the low word its share of `kb`.
 static PC2_T: [[u64; 128]; 8] = build_pc2();
 
 const fn build_pc1() -> [[u64; 256]; 8] {
@@ -72,7 +73,8 @@ const fn build_pc2() -> [[u64; 128]; 8] {
                 }
                 j += 1;
             }
-            t[chunk][v] = acc;
+            let (ka, kb) = split_round_key(acc);
+            t[chunk][v] = ((ka as u64) << 32) | kb as u64;
             v += 1;
         }
         chunk += 1;
@@ -91,31 +93,24 @@ impl KeySchedule {
         let mut c = (cd >> 28) & 0x0fff_ffff;
         let mut d = cd & 0x0fff_ffff;
 
-        let mut round_keys = [0u64; 16];
         let mut sp_keys = [(0u32, 0u32); 16];
         for (round, &shift) in SHIFTS.iter().enumerate() {
             c = rotl28(c, shift);
             d = rotl28(d, shift);
             let merged = (c << 28) | d;
-            // PC-2: 56 -> 48 bits, one lookup per 7-bit chunk.
+            // PC-2 and the split: 56 -> 2×24 bits, one lookup per chunk.
             let mut rk: u64 = 0;
             let mut m = 0;
             while m < 8 {
                 rk |= PC2_T[m][((merged >> (49 - 7 * m)) & 0x7f) as usize];
                 m += 1;
             }
-            round_keys[round] = rk;
-            sp_keys[round] = split_round_key(rk);
+            sp_keys[round] = ((rk >> 32) as u32, rk as u32);
         }
-        KeySchedule { round_keys, sp_keys }
+        KeySchedule { sp_keys }
     }
 
-    /// Returns the round keys in encryption order.
-    pub fn round_keys(&self) -> &RoundKeys {
-        &self.round_keys
-    }
-
-    /// Returns the round keys pre-split for the fast kernel.
+    /// Returns the split round keys in encryption order.
     pub(crate) fn sp_keys(&self) -> &[(u32, u32); 16] {
         &self.sp_keys
     }
@@ -130,6 +125,13 @@ fn rotl28(v: u64, n: u8) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::des::reference;
+
+    /// The reference schedule's round keys, split as the fast kernel
+    /// stores them.
+    fn split_reference(key: &DesKey) -> [(u32, u32); 16] {
+        reference::round_keys(key).map(split_round_key)
+    }
 
     #[test]
     fn rotl28_wraps() {
@@ -143,60 +145,40 @@ mod tests {
     /// 111111 000111 000001 110010.
     #[test]
     fn worked_example_round_one() {
-        let ks = KeySchedule::new(&DesKey::from_u64(0x133457799BBCDFF1));
-        assert_eq!(ks.round_keys()[0], 0b000110_110000_001011_101111_111111_000111_000001_110010);
+        let key = DesKey::from_u64(0x133457799BBCDFF1);
+        let k1 = 0b000110_110000_001011_101111_111111_000111_000001_110010;
+        assert_eq!(reference::round_keys(&key)[0], k1);
+        assert_eq!(KeySchedule::new(&key).sp_keys()[0], split_round_key(k1));
     }
 
     /// Last round key from the same example: K16 = 110010 110011 110110
     /// 001011 000011 100001 011111 110101.
     #[test]
     fn worked_example_round_sixteen() {
-        let ks = KeySchedule::new(&DesKey::from_u64(0x133457799BBCDFF1));
-        assert_eq!(
-            ks.round_keys()[15],
-            0b110010_110011_110110_001011_000011_100001_011111_110101
-        );
+        let key = DesKey::from_u64(0x133457799BBCDFF1);
+        let k16 = 0b110010_110011_110110_001011_000011_100001_011111_110101;
+        assert_eq!(reference::round_keys(&key)[15], k16);
+        assert_eq!(KeySchedule::new(&key).sp_keys()[15], split_round_key(k16));
     }
 
     #[test]
     fn weak_key_has_identical_round_keys() {
-        let ks = KeySchedule::new(&DesKey::from_u64(0x0101010101010101));
-        let first = ks.round_keys()[0];
-        assert!(ks.round_keys().iter().all(|&rk| rk == first));
+        let key = DesKey::from_u64(0x0101010101010101);
+        let rks = reference::round_keys(&key);
+        assert!(rks.iter().all(|&rk| rk == rks[0]));
+        let ks = KeySchedule::new(&key);
+        assert!(ks.sp_keys().iter().all(|&sk| sk == ks.sp_keys()[0]));
     }
 
-    /// The table-driven PC-1/PC-2 must agree with a per-bit walk of the
-    /// FIPS tables for every round, not just the pinned examples.
+    /// The fused PC-1/PC-2 tables must agree with the reference's
+    /// per-bit walk of the FIPS tables for every round, not just the
+    /// pinned examples (`tests/des_kat.rs` extends this to random keys
+    /// through the kernels).
     #[test]
     fn lookup_tables_match_bitwise_walk() {
         for k in [0x133457799BBCDFF1u64, 0, u64::MAX, 0xA55A_96E1_D00D_FEED] {
             let key = DesKey::from_u64(k);
-            let fast = KeySchedule::new(&key);
-            let slow = bitwise_schedule(&key);
-            assert_eq!(fast.round_keys(), &slow, "key {k:016X}");
+            assert_eq!(KeySchedule::new(&key).sp_keys(), &split_reference(&key), "key {k:016X}");
         }
-    }
-
-    /// The original per-bit schedule, retained as a test oracle.
-    fn bitwise_schedule(key: &DesKey) -> RoundKeys {
-        let k = key.to_u64();
-        let mut cd: u64 = 0;
-        for &src in PC1.iter() {
-            cd = (cd << 1) | ((k >> (64 - u64::from(src))) & 1);
-        }
-        let mut c = (cd >> 28) & 0x0fff_ffff;
-        let mut d = cd & 0x0fff_ffff;
-        let mut round_keys = [0u64; 16];
-        for (round, &shift) in SHIFTS.iter().enumerate() {
-            c = rotl28(c, shift);
-            d = rotl28(d, shift);
-            let merged = (c << 28) | d;
-            let mut rk: u64 = 0;
-            for &src in PC2.iter() {
-                rk = (rk << 1) | ((merged >> (56 - u64::from(src))) & 1);
-            }
-            round_keys[round] = rk;
-        }
-        round_keys
     }
 }

@@ -11,9 +11,10 @@
 //! constant-time and no attempt is made to resist side channels, which are
 //! outside the paper's threat model.
 //!
-//! Two kernels coexist: [`fast`] (fused SP-tables, swap-network IP/FP —
-//! the default, re-exported here) and [`reference`] (the original
-//! bit-at-a-time table walk, kept as the equivalence oracle). They are
+//! Two kernels coexist: [`fast`] (fused SP-tables, swap-network IP/FP,
+//! one round loop over `N` lanes — the default, re-exported here) and
+//! [`reference`] (the original bit-at-a-time table walk over its own
+//! bit-by-bit key schedule, kept as the equivalence oracle). They are
 //! proven bit-identical by differential proptests in `tests/des_kat.rs`.
 
 mod fast;
@@ -21,8 +22,8 @@ mod keysched;
 pub mod reference;
 mod tables;
 
-pub use fast::{decrypt_block, encrypt_block};
-pub use keysched::{KeySchedule, RoundKeys};
+pub use fast::{decrypt_block, decrypt_blocks, encrypt_block, encrypt_blocks};
+pub use keysched::KeySchedule;
 
 /// A DES key: 8 bytes, of which 56 bits are effective (bit 0 of each byte
 /// is an odd-parity bit).
@@ -117,7 +118,7 @@ impl DesKey {
         SEMI.contains(&self.to_u64())
     }
 
-    /// Expands the key into the sixteen 48-bit round keys.
+    /// Expands the key into the sixteen round keys.
     pub fn schedule(&self) -> KeySchedule {
         KeySchedule::new(self)
     }

@@ -1,13 +1,17 @@
 //! The reference DES kernel: a direct bit-at-a-time transcription of the
 //! FIPS 46-3 tables.
 //!
-//! This was the original production kernel; it is retained verbatim as
-//! the equivalence oracle for the fused-table [`fast`](super::fast)
-//! kernel (differential proptests in `tests/des_kat.rs` pin
-//! `fast == reference` over random keys and blocks) and as the readable
-//! specification of the algorithm.
+//! This was the original production kernel; its round walk is retained
+//! verbatim as the equivalence oracle for the fused-table
+//! [`fast`](super::fast) kernel and as the readable specification of
+//! the algorithm. It builds its own round keys by walking PC-1 and PC-2
+//! one bit at a time, so the differential proptests in
+//! `tests/des_kat.rs` (`fast == reference` over random keys and blocks)
+//! hold the fast kernel *and* its fused key schedule to an independent
+//! oracle.
 
-use super::{KeySchedule, E, FP, IP, P, SBOXES};
+use super::tables::{PC1, PC2, SHIFTS};
+use super::{DesKey, E, FP, IP, P, SBOXES};
 
 /// Applies a FIPS-style permutation table to `v`, treating `v` as a
 /// `width`-bit value whose bit 1 is the MSB.
@@ -54,14 +58,31 @@ fn rounds(block: u64, keys: impl Iterator<Item = u64>) -> u64 {
     permute(preout, 64, &FP)
 }
 
-/// Encrypts a single 64-bit block.
-pub fn encrypt_block(ks: &KeySchedule, block: u64) -> u64 {
-    rounds(block, ks.round_keys().iter().copied())
+/// Expands `key` into the sixteen 48-bit round keys, right-aligned in
+/// `u64`s, in encryption order: PC-1, the rotations, and PC-2, each
+/// walked bit by bit.
+pub fn round_keys(key: &DesKey) -> [u64; 16] {
+    let rotl28 = |v: u64, n: u8| ((v << n) | (v >> (28 - n))) & 0x0fff_ffff;
+    let cd = permute(key.to_u64(), 64, &PC1);
+    let mut c = cd >> 28;
+    let mut d = cd & 0x0fff_ffff;
+    let mut round_keys = [0u64; 16];
+    for (rk, &shift) in round_keys.iter_mut().zip(SHIFTS.iter()) {
+        c = rotl28(c, shift);
+        d = rotl28(d, shift);
+        *rk = permute((c << 28) | d, 56, &PC2);
+    }
+    round_keys
 }
 
-/// Decrypts a single 64-bit block.
-pub fn decrypt_block(ks: &KeySchedule, block: u64) -> u64 {
-    rounds(block, ks.round_keys().iter().rev().copied())
+/// Encrypts a single 64-bit block under round keys from [`round_keys`].
+pub fn encrypt_block(round_keys: &[u64; 16], block: u64) -> u64 {
+    rounds(block, round_keys.iter().copied())
+}
+
+/// Decrypts a single 64-bit block under round keys from [`round_keys`].
+pub fn decrypt_block(round_keys: &[u64; 16], block: u64) -> u64 {
+    rounds(block, round_keys.iter().rev().copied())
 }
 
 #[cfg(test)]
@@ -91,7 +112,7 @@ mod tests {
 
     #[test]
     fn encrypt_decrypt_roundtrip() {
-        let ks = DesKey::from_u64(0x0E329232EA6D0D73).schedule();
+        let ks = round_keys(&DesKey::from_u64(0x0E329232EA6D0D73));
         for pt in [0u64, 1, u64::MAX, 0x8787878787878787] {
             assert_eq!(decrypt_block(&ks, encrypt_block(&ks, pt)), pt);
         }
@@ -101,7 +122,7 @@ mod tests {
     /// "0000000000000000"), widely used in teaching material.
     #[test]
     fn teaching_vector() {
-        let ks = DesKey::from_u64(0x0E329232EA6D0D73).schedule();
+        let ks = round_keys(&DesKey::from_u64(0x0E329232EA6D0D73));
         assert_eq!(encrypt_block(&ks, 0x8787878787878787), 0);
     }
 }

@@ -1,11 +1,13 @@
 //! FIPS-81 known-answer tests and fast-vs-reference differential
 //! properties for the DES core.
 //!
-//! The fused SP-table kernel in `des::fast` must be bit-exact with the
-//! retained table-walking implementation in `des::reference`. The KATs
-//! pin both against the published FIPS 81 worked examples, and the
-//! `testkit::prop` suite drives randomized equivalence (replay a
-//! failure with the printed `TESTKIT_SEED`).
+//! The fused SP-table kernel in `des::fast`, under the fused PC-2 key
+//! schedule, must be bit-exact with the retained table-walking
+//! implementation in `des::reference`, which expands its own round keys
+//! bit by bit. The KATs pin both against the published FIPS 81 worked
+//! examples, and the `testkit::prop` suite drives randomized
+//! equivalence over random keys, one lane and several (replay a failure
+//! with the printed `TESTKIT_SEED`).
 
 use krb_crypto::des::{self, DesKey, KeySchedule};
 use krb_crypto::modes;
@@ -60,15 +62,43 @@ fn arb_blocks() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// `N`-lane encryption and decryption, lane `i` under `keys[i]`, equal
+/// the reference lane by lane.
+fn lanes_match_reference<const N: usize>(keys: &[u64], blocks: &[u64]) {
+    let keys: [DesKey; N] = std::array::from_fn(|lane| DesKey::from_u64(keys[lane]));
+    let blocks: [u64; N] = std::array::from_fn(|lane| blocks[lane]);
+    let schedules = keys.map(|key| KeySchedule::new(&key));
+    let enc = des::encrypt_blocks(schedules.each_ref(), blocks);
+    let dec = des::decrypt_blocks(schedules.each_ref(), blocks);
+    for lane in 0..N {
+        let rk = des::reference::round_keys(&keys[lane]);
+        let (pt, what) = (blocks[lane], format!("lane {lane} of {N}"));
+        assert_eq!(enc[lane], des::reference::encrypt_block(&rk, pt), "encrypt {what}");
+        assert_eq!(dec[lane], des::reference::decrypt_block(&rk, pt), "decrypt {what}");
+    }
+}
+
 testkit::prop! {
     fn fast_encrypt_matches_reference(k in any::<u64>(), pt in any::<u64>()) {
-        let ks = KeySchedule::new(&DesKey::from_u64(k));
-        prop_assert_eq!(des::encrypt_block(&ks, pt), des::reference::encrypt_block(&ks, pt));
+        let key = DesKey::from_u64(k);
+        let (ks, rk) = (KeySchedule::new(&key), des::reference::round_keys(&key));
+        prop_assert_eq!(des::encrypt_block(&ks, pt), des::reference::encrypt_block(&rk, pt));
     }
 
     fn fast_decrypt_matches_reference(k in any::<u64>(), ct in any::<u64>()) {
-        let ks = KeySchedule::new(&DesKey::from_u64(k));
-        prop_assert_eq!(des::decrypt_block(&ks, ct), des::reference::decrypt_block(&ks, ct));
+        let key = DesKey::from_u64(k);
+        let (ks, rk) = (KeySchedule::new(&key), des::reference::round_keys(&key));
+        prop_assert_eq!(des::decrypt_block(&ks, ct), des::reference::decrypt_block(&rk, ct));
+    }
+
+    fn lanes_match_reference_lane_by_lane(
+        keys in collection::vec(any::<u64>(), 8),
+        blocks in collection::vec(any::<u64>(), 8),
+    ) {
+        lanes_match_reference::<1>(&keys, &blocks);
+        lanes_match_reference::<2>(&keys, &blocks);
+        lanes_match_reference::<3>(&keys, &blocks);
+        lanes_match_reference::<8>(&keys, &blocks);
     }
 
     fn fast_roundtrip_and_cache_agree(k in any::<u64>(), pt in any::<u64>()) {

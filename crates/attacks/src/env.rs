@@ -52,10 +52,10 @@ pub fn with_fault_profile<R>(profile: FaultProfile, f: impl FnOnce() -> R) -> R 
 
 /// Runs `f` and returns, alongside its result, the [`Tracer`] of the
 /// last [`AttackEnv`] built inside — the hook the golden-trace tests
-/// use to observe an [`crate::Attack::run`] that builds its own
-/// environment internally. The tracer (an `Arc` handle) outlives the
-/// env and its network, so the full event log stays readable after the
-/// attack returns.
+/// use to observe an attack script (a catalogue row's
+/// [`crate::Attack::run`]) that builds its own environment internally.
+/// The tracer (an `Arc` handle) outlives the env and its network, so
+/// the full event log stays readable after the attack returns.
 pub fn with_trace_capture<R>(f: impl FnOnce() -> R) -> (R, Option<Tracer>) {
     TRACE_CAPTURE.with(|t| *t.borrow_mut() = Some(None));
     let out = f();

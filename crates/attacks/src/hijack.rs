@@ -7,64 +7,45 @@
 //! injects commands with the victim's source address.
 
 use crate::env::AttackEnv;
-use crate::{Attack, AttackReport};
+use crate::Outcome;
 use kerberos::messages::{frame, WireKind};
 use kerberos::services::FileServerLogic;
 use kerberos::ProtocolConfig;
 use simnet::Datagram;
 
-/// The A14 attack object.
-pub struct ConnectionHijack;
+/// Runs the attack against a fresh deployment under `config`.
+pub fn run(config: &ProtocolConfig, seed: u64) -> Outcome {
+    let mut env = AttackEnv::new(config, seed);
 
-impl Attack for ConnectionHijack {
-    fn id(&self) -> &'static str {
-        "A14"
-    }
+    // The victim authenticates and does legitimate work.
+    let mut conn = match env.victim_session("pat", "files") {
+        Ok(c) => c,
+        Err(e) => return Outcome::safe(format!("victim session failed: {e}")),
+    };
+    let mut rng = env.rng.clone();
+    let _ = conn.request(&mut env.net, b"PUT thesis.tex ten years of work", &mut rng);
 
-    fn name(&self) -> &'static str {
-        "post-authentication hijack"
-    }
+    // The attacker waits for authentication to complete, then takes
+    // over: a plaintext command injected with the victim's address.
+    let victim_ep = env.realm.user_ep("pat");
+    let files_ep = env.realm.service_ep("files");
+    let _ = env.net.inject(Datagram {
+        src: victim_ep,
+        dst: files_ep,
+        payload: frame(WireKind::AppData, b"DEL thesis.tex".to_vec()).into(),
+    });
 
-    fn run(&self, config: &ProtocolConfig, seed: u64) -> AttackReport {
-        let mut env = AttackEnv::new(config, seed);
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A14",
-            name: "post-authentication hijack",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-
-        // The victim authenticates and does legitimate work.
-        let mut conn = match env.victim_session("pat", "files") {
-            Ok(c) => c,
-            Err(e) => return report(false, format!("victim session failed: {e}")),
-        };
-        let mut rng = env.rng.clone();
-        let _ = conn.request(&mut env.net, b"PUT thesis.tex ten years of work", &mut rng);
-
-        // The attacker waits for authentication to complete, then takes
-        // over: a plaintext command injected with the victim's address.
-        let victim_ep = env.realm.user_ep("pat");
-        let files_ep = env.realm.service_ep("files");
-        let _ = env.net.inject(Datagram {
-            src: victim_ep,
-            dst: files_ep,
-            payload: frame(WireKind::AppData, b"DEL thesis.tex".to_vec()).into(),
-        });
-
-        let deleted = env.realm.with_app_server(&mut env.net, "files", |s| {
-            s.logic
-                .as_any()
-                .and_then(|a| a.downcast_ref::<FileServerLogic>())
-                .map(|f| f.deletions.clone())
-                .unwrap_or_default()
-        });
-        if deleted.iter().any(|(u, f)| u == "pat" && f == "thesis.tex") {
-            report(true, "injected plaintext command executed as pat: thesis.tex deleted".into())
-        } else {
-            report(false, "injected plaintext command rejected (session protection)".into())
-        }
+    let deleted = env.realm.with_app_server(&mut env.net, "files", |s| {
+        s.logic
+            .as_any()
+            .and_then(|a| a.downcast_ref::<FileServerLogic>())
+            .map(|f| f.deletions.clone())
+            .unwrap_or_default()
+    });
+    if deleted.iter().any(|(u, f)| u == "pat" && f == "thesis.tex") {
+        Outcome::breach("injected plaintext command executed as pat: thesis.tex deleted")
+    } else {
+        Outcome::safe("injected plaintext command rejected (session protection)")
     }
 }
 
@@ -74,12 +55,12 @@ mod tests {
 
     #[test]
     fn plain_deployments_are_hijackable() {
-        assert!(ConnectionHijack.run(&ProtocolConfig::v4(), 1).succeeded);
+        assert!(run(&ProtocolConfig::v4(), 1).succeeded);
     }
 
     #[test]
     fn priv_deployments_are_not() {
-        assert!(!ConnectionHijack.run(&ProtocolConfig::v5_draft3(), 1).succeeded);
-        assert!(!ConnectionHijack.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::v5_draft3(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::hardened(), 1).succeeded);
     }
 }

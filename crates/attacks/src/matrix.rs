@@ -1,63 +1,9 @@
 //! The attack × configuration matrix: the paper's claim set as an
-//! executable table (experiment E1).
+//! executable table (experiment E1). The expected grid is the
+//! catalogue's verdict columns ([`crate::Attack::expected`]).
 
 use crate::{all_attacks, AttackReport};
 use kerberos::ProtocolConfig;
-
-/// The expected outcome grid, straight from the paper's analysis:
-/// (attack id, config name, attack succeeds).
-pub const EXPECTED: &[(&str, &str, bool)] = &[
-    ("A1", "v4", true),
-    ("A1", "v5-draft3", true),
-    ("A1", "hardened", false),
-    ("A2", "v4", true),
-    ("A2", "v5-draft3", true),
-    ("A2", "hardened", false),
-    ("A3", "v4", true),
-    ("A3", "v5-draft3", true),
-    ("A3", "hardened", false),
-    ("A4", "v4", true),
-    ("A4", "v5-draft3", true),
-    ("A4", "hardened", false),
-    ("A5", "v4", true),
-    ("A5", "v5-draft3", true),
-    ("A5", "hardened", false),
-    ("A6", "v4", true),
-    ("A6", "v5-draft3", true),
-    ("A6", "hardened", false),
-    // A7: "the simple attack above does not work against Kerberos
-    // Version 4, in which ... the leading length(DATA) field disrupts
-    // the prefix-based attack."
-    ("A7", "v4", false),
-    ("A7", "v5-draft3", true),
-    ("A7", "hardened", false),
-    ("A8", "v4", true),
-    ("A8", "v5-draft3", true),
-    ("A8", "hardened", false),
-    // A9/A10 target Draft-3 options V4 did not have.
-    ("A9", "v4", false),
-    ("A9", "v5-draft3", true),
-    ("A9", "hardened", false),
-    ("A10", "v4", false),
-    ("A10", "v5-draft3", true),
-    ("A10", "hardened", false),
-    // A11 targets the untyped encoding Draft 3 already fixed via ASN.1.
-    ("A11", "v4", true),
-    ("A11", "v5-draft3", false),
-    ("A11", "hardened", false),
-    ("A12", "v4", true),
-    ("A12", "v5-draft3", true),
-    ("A12", "hardened", false),
-    ("A13", "v4", true),
-    ("A13", "v5-draft3", true),
-    ("A13", "hardened", false),
-    // A14 needs unprotected post-auth data; Draft 3's KRB_PRIV already
-    // prevents the trivial take-over (the session-level replays are
-    // A7/A13's business).
-    ("A14", "v4", true),
-    ("A14", "v5-draft3", false),
-    ("A14", "hardened", false),
-];
 
 /// Runs every attack against every preset.
 pub fn run_matrix(seed: u64) -> Vec<AttackReport> {
@@ -70,27 +16,20 @@ pub fn run_matrix(seed: u64) -> Vec<AttackReport> {
     out
 }
 
-/// Looks up the expected outcome for (attack, config).
+/// Looks up the paper's expected outcome for (attack id, preset name).
 pub fn expected(id: &str, config: &str) -> Option<bool> {
-    EXPECTED.iter().find(|(a, c, _)| *a == id && *c == config).map(|(_, _, s)| *s)
+    all_attacks().iter().find(|a| a.id == id)?.expected(config)
 }
 
 /// Renders the matrix as an aligned text table (rows = attacks, columns
 /// = configurations; `BREACH` / `safe`).
 pub fn render_table(reports: &[AttackReport]) -> String {
-    let configs: Vec<&str> = {
-        let mut v: Vec<&str> = reports.iter().map(|r| r.config).collect();
-        v.dedup();
-        let mut seen = Vec::new();
-        for c in v {
-            if !seen.contains(&c) {
-                seen.push(c);
-            }
-        }
-        seen
-    };
+    let mut configs: Vec<&str> = Vec::new();
     let mut attacks: Vec<(&str, &str)> = Vec::new();
     for r in reports {
+        if !configs.contains(&r.config) {
+            configs.push(r.config);
+        }
         if !attacks.iter().any(|(id, _)| *id == r.id) {
             attacks.push((r.id, r.name));
         }
@@ -125,13 +64,16 @@ mod tests {
 
     #[test]
     fn expected_grid_is_complete() {
-        // 14 attacks x 3 configs.
-        assert_eq!(EXPECTED.len(), 42);
-        for id in 1..=14 {
-            for config in ["v4", "v5-draft3", "hardened"] {
+        // 14 attacks, A1..A14 in paper order, x 3 presets.
+        let ids: Vec<&str> = all_attacks().iter().map(|a| a.id).collect();
+        let paper_order: Vec<String> = (1..=14).map(|n| format!("A{n}")).collect();
+        assert_eq!(ids, paper_order);
+        for id in ids {
+            for config in ProtocolConfig::presets() {
                 assert!(
-                    expected(&format!("A{id}"), config).is_some(),
-                    "missing expectation for A{id}/{config}"
+                    expected(id, config.name).is_some(),
+                    "missing expectation for {id}/{}",
+                    config.name
                 );
             }
         }
@@ -139,10 +81,9 @@ mod tests {
 
     #[test]
     fn hardened_blocks_everything() {
-        for (id, config, succeeded) in EXPECTED {
-            if *config == "hardened" {
-                assert!(!succeeded, "{id} expected to breach hardened?");
-            }
+        for attack in all_attacks() {
+            let verdict = attack.expected("hardened");
+            assert_eq!(verdict, Some(false), "{} expected to breach hardened?", attack.id);
         }
     }
 

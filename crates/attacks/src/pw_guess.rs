@@ -11,7 +11,7 @@
 
 use crate::env::AttackEnv;
 use crate::workload::guesses;
-use crate::{Attack, AttackReport};
+use crate::Outcome;
 use kerberos::encoding::MsgType;
 use kerberos::kdc::hha_key_with;
 use kerberos::messages::{deframe, AsRep, AsReq, EncKdcRepPart, KrbErrorMsg, WireKind};
@@ -93,170 +93,130 @@ fn opens_as_reply(
 }
 
 /// A4: passive (wiretap) password guessing.
-pub struct PassiveGuessing;
+pub fn run_passive(config: &ProtocolConfig, seed: u64) -> Outcome {
+    let mut env = AttackEnv::new(config, seed);
 
-impl Attack for PassiveGuessing {
-    fn id(&self) -> &'static str {
-        "A4"
+    // The victim (sam, whose password is a mutated dictionary word)
+    // logs in; the wiretap records the dialog.
+    if env.login("sam").is_err() {
+        return Outcome::safe("victim login failed");
     }
+    let sam = env.user("sam");
+    let sam_ep = env.realm.user_ep("sam");
 
-    fn name(&self) -> &'static str {
-        "offline password guessing (passive)"
-    }
-
-    fn run(&self, config: &ProtocolConfig, seed: u64) -> AttackReport {
-        let mut env = AttackEnv::new(config, seed);
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A4",
-            name: "offline password guessing (passive)",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-
-        // The victim (sam, whose password is a mutated dictionary word)
-        // logs in; the wiretap records the dialog.
-        if env.login("sam").is_err() {
-            return report(false, "victim login failed".into());
+    // Recover the AS reply (and the challenge R, if the deployment
+    // uses handheld authenticators — R travels in the clear).
+    let mut challenge_r = None;
+    let mut enc_part = None;
+    for r in env.net.traffic_log() {
+        if r.dgram.dst != sam_ep {
+            continue;
         }
-        let sam = env.user("sam");
-        let sam_ep = env.realm.user_ep("sam");
-
-        // Recover the AS reply (and the challenge R, if the deployment
-        // uses handheld authenticators — R travels in the clear).
-        let mut challenge_r = None;
-        let mut enc_part = None;
-        for r in env.net.traffic_log() {
-            if r.dgram.dst != sam_ep {
-                continue;
-            }
-            match r.dgram.payload.first().copied().and_then(WireKind::from_u8) {
-                Some(WireKind::Err) => {
-                    if let Ok(e) = KrbErrorMsg::decode(config.codec, &r.dgram.payload) {
-                        if let Some(c) = e.challenge {
-                            challenge_r = Some(c);
-                        }
+        match r.dgram.payload.first().copied().and_then(WireKind::from_u8) {
+            Some(WireKind::Err) => {
+                if let Ok(e) = KrbErrorMsg::decode(config.codec, &r.dgram.payload) {
+                    if let Some(c) = e.challenge {
+                        challenge_r = Some(c);
                     }
                 }
-                Some(WireKind::AsRep) => {
-                    if let Ok(rep) = AsRep::decode(config.codec, &r.dgram.payload) {
-                        if rep.dh_public.is_some() {
-                            return report(
-                                false,
-                                "exponential key exchange seals the reply; passive guesses \
-                                 cannot even be tested"
-                                    .into(),
-                            );
-                        }
-                        enc_part = Some(rep.enc_part);
-                    }
-                }
-                _ => {}
             }
+            Some(WireKind::AsRep) => {
+                if let Ok(rep) = AsRep::decode(config.codec, &r.dgram.payload) {
+                    if rep.dh_public.is_some() {
+                        return Outcome::safe(
+                            "exponential key exchange seals the reply; passive guesses \
+                             cannot even be tested"
+                        );
+                    }
+                    enc_part = Some(rep.enc_part);
+                }
+            }
+            _ => {}
         }
-        let Some(enc_part) = enc_part else {
-            return report(false, "no AS reply captured".into());
-        };
+    }
+    let Some(enc_part) = enc_part else {
+        return Outcome::safe("no AS reply captured");
+    };
 
-        match crack_as_reply(config, &sam, &enc_part, challenge_r, guesses()) {
-            Some(pw) => report(true, format!("recovered sam's password {pw:?} from the wiretap")),
-            None => report(false, "no dictionary guess verified".into()),
-        }
+    match crack_as_reply(config, &sam, &enc_part, challenge_r, guesses()) {
+        Some(pw) => Outcome::breach(format!("recovered sam's password {pw:?} from the wiretap")),
+        None => Outcome::safe("no dictionary guess verified"),
     }
 }
 
 /// A5: active ticket harvest — no eavesdropping.
-pub struct ActiveHarvest;
+pub fn run_harvest(config: &ProtocolConfig, seed: u64) -> Outcome {
+    let mut env = AttackEnv::new(config, seed);
+    let attacker_ep = env.attacker_ep();
+    let sam = env.user("sam");
 
-impl Attack for ActiveHarvest {
-    fn id(&self) -> &'static str {
-        "A5"
-    }
-
-    fn name(&self) -> &'static str {
-        "ticket harvest without eavesdropping"
-    }
-
-    fn run(&self, config: &ProtocolConfig, seed: u64) -> AttackReport {
-        let mut env = AttackEnv::new(config, seed);
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A5",
-            name: "ticket harvest without eavesdropping",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-        let attacker_ep = env.attacker_ep();
-        let sam = env.user("sam");
-
-        // The attacker requests an AS reply *for sam* from its own
-        // workstation. As an active participant it can complete the DH
-        // exchange itself — DH does not stop this attack; only
-        // preauthentication does.
-        let mut padata = Vec::new();
-        let dh = if config.dh_login {
-            let group = krb_crypto::dh::DhGroup::oakley768();
-            let kp = group.keypair(160, &mut env.rng).expect("keypair");
-            padata.push(kerberos::messages::PaData::DhPublic(kp.public.to_bytes_be()));
-            Some((group, kp))
-        } else {
-            None
-        };
-        let req = AsReq {
-            client: sam.clone(),
-            service: Principal::tgs(&env.realm.name),
-            nonce: 7,
-            lifetime_us: config.ticket_lifetime_us,
-            addr: attacker_ep.addr.0,
-            options: kerberos::flags::KdcOptions::empty(),
-            padata,
-        };
-        // The attacker sits on the same lossy wire as everyone else
-        // (chaos soak): resend the identical request on loss, like any
-        // UDP client would. On a perfect network this is a single shot.
-        let wire = req.encode(config.codec);
-        let mut sent = 0u32;
-        let reply = loop {
-            sent += 1;
-            match env.net.rpc(attacker_ep, env.realm.kdc_ep, wire.clone()) {
-                Ok(r) => break r,
-                Err(_) if sent < 8 && env.net.faults_enabled() => {
-                    env.net.advance(simnet::SimDuration::from_millis(100 * sent as u64));
-                    env.net.pump();
-                }
-                Err(e) => return report(false, format!("harvest request failed: {e}")),
+    // The attacker requests an AS reply *for sam* from its own
+    // workstation. As an active participant it can complete the DH
+    // exchange itself — DH does not stop this attack; only
+    // preauthentication does.
+    let mut padata = Vec::new();
+    let dh = if config.dh_login {
+        let group = krb_crypto::dh::DhGroup::oakley768();
+        let kp = group.keypair(160, &mut env.rng).expect("keypair");
+        padata.push(kerberos::messages::PaData::DhPublic(kp.public.to_bytes_be()));
+        Some((group, kp))
+    } else {
+        None
+    };
+    let req = AsReq {
+        client: sam.clone(),
+        service: Principal::tgs(&env.realm.name),
+        nonce: 7,
+        lifetime_us: config.ticket_lifetime_us,
+        addr: attacker_ep.addr.0,
+        options: kerberos::flags::KdcOptions::empty(),
+        padata,
+    };
+    // The attacker sits on the same lossy wire as everyone else
+    // (chaos soak): resend the identical request on loss, like any
+    // UDP client would. On a perfect network this is a single shot.
+    let wire = req.encode(config.codec);
+    let mut sent = 0u32;
+    let reply = loop {
+        sent += 1;
+        match env.net.rpc(attacker_ep, env.realm.kdc_ep, wire.clone()) {
+            Ok(r) => break r,
+            Err(_) if sent < 8 && env.net.faults_enabled() => {
+                env.net.advance(simnet::SimDuration::from_millis(100 * sent as u64));
+                env.net.pump();
             }
-        };
-        if let Ok((WireKind::Err, _)) = deframe(&reply) {
-            let e = KrbErrorMsg::decode(config.codec, &reply)
-                .map(|e| e.text)
-                .unwrap_or_else(|_| "?".into());
-            return report(false, format!("KDC refused unauthenticated request: {e}"));
+            Err(e) => return Outcome::safe(format!("harvest request failed: {e}")),
         }
-        let Ok(rep) = AsRep::decode(config.codec, &reply) else {
-            return report(false, "unparseable reply".into());
-        };
+    };
+    if let Ok((WireKind::Err, _)) = deframe(&reply) {
+        let e = KrbErrorMsg::decode(config.codec, &reply)
+            .map(|e| e.text)
+            .unwrap_or_else(|_| "?".into());
+        return Outcome::safe(format!("KDC refused unauthenticated request: {e}"));
+    }
+    let Ok(rep) = AsRep::decode(config.codec, &reply) else {
+        return Outcome::safe("unparseable reply");
+    };
 
-        // Peel the attacker's own DH layer if present.
-        let enc_part = match (&dh, &rep.dh_public) {
-            (Some((group, kp)), Some(server_pub)) => {
-                let their = krb_crypto::bignum::BigUint::from_bytes_be(server_pub);
-                let secret = group.shared_secret(&their, &kp.private).expect("shared");
-                let dh_key = krb_crypto::dh::DhGroup::derive_key(&secret);
-                match config.ticket_layer.open(&dh_key, 0, &rep.enc_part) {
-                    Ok(inner) => inner,
-                    Err(e) => return report(false, format!("DH unseal failed: {e}")),
-                }
+    // Peel the attacker's own DH layer if present.
+    let enc_part = match (&dh, &rep.dh_public) {
+        (Some((group, kp)), Some(server_pub)) => {
+            let their = krb_crypto::bignum::BigUint::from_bytes_be(server_pub);
+            let secret = group.shared_secret(&their, &kp.private).expect("shared");
+            let dh_key = krb_crypto::dh::DhGroup::derive_key(&secret);
+            match config.ticket_layer.open(&dh_key, 0, &rep.enc_part) {
+                Ok(inner) => inner,
+                Err(e) => return Outcome::safe(format!("DH unseal failed: {e}")),
             }
-            _ => rep.enc_part.clone(),
-        };
-
-        match crack_as_reply(config, &sam, &enc_part, rep.challenge_r, guesses()) {
-            Some(pw) => {
-                report(true, format!("harvested {{...}}K_sam without eavesdropping; cracked {pw:?}"))
-            }
-            None => report(false, "no dictionary guess verified".into()),
         }
+        _ => rep.enc_part.clone(),
+    };
+
+    match crack_as_reply(config, &sam, &enc_part, rep.challenge_r, guesses()) {
+        Some(pw) => {
+            Outcome::breach(format!("harvested {{...}}K_sam without eavesdropping; cracked {pw:?}"))
+        }
+        None => Outcome::safe("no dictionary guess verified"),
     }
 }
 
@@ -266,23 +226,23 @@ mod tests {
 
     #[test]
     fn passive_cracks_v4_and_draft3() {
-        assert!(PassiveGuessing.run(&ProtocolConfig::v4(), 1).succeeded);
-        assert!(PassiveGuessing.run(&ProtocolConfig::v5_draft3(), 1).succeeded);
+        assert!(run_passive(&ProtocolConfig::v4(), 1).succeeded);
+        assert!(run_passive(&ProtocolConfig::v5_draft3(), 1).succeeded);
     }
 
     #[test]
     fn dh_layer_blocks_passive() {
-        assert!(!PassiveGuessing.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run_passive(&ProtocolConfig::hardened(), 1).succeeded);
         // Even v4 + DH alone blocks the passive attack.
         let mut config = ProtocolConfig::v4();
         config.dh_login = true;
-        assert!(!PassiveGuessing.run(&config, 2).succeeded);
+        assert!(!run_passive(&config, 2).succeeded);
     }
 
     #[test]
     fn active_harvest_cracks_v4_and_draft3() {
-        assert!(ActiveHarvest.run(&ProtocolConfig::v4(), 1).succeeded);
-        assert!(ActiveHarvest.run(&ProtocolConfig::v5_draft3(), 1).succeeded);
+        assert!(run_harvest(&ProtocolConfig::v4(), 1).succeeded);
+        assert!(run_harvest(&ProtocolConfig::v5_draft3(), 1).succeeded);
     }
 
     #[test]
@@ -291,15 +251,15 @@ mod tests {
         // itself.
         let mut config = ProtocolConfig::v4();
         config.dh_login = true;
-        assert!(ActiveHarvest.run(&config, 2).succeeded);
+        assert!(run_harvest(&config, 2).succeeded);
     }
 
     #[test]
     fn preauth_blocks_active_harvest() {
-        assert!(!ActiveHarvest.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run_harvest(&ProtocolConfig::hardened(), 1).succeeded);
         let mut config = ProtocolConfig::v4();
         config.preauth = kerberos::PreauthMode::EncTimestamp;
-        assert!(!ActiveHarvest.run(&config, 3).succeeded);
+        assert!(!run_harvest(&config, 3).succeeded);
     }
 
     #[test]

@@ -29,6 +29,7 @@
 //! the engine against this table.
 
 use crate::env::AttackEnv;
+use crate::Outcome;
 use kerberos::messages::{AsRep, AsReq, WireKind};
 use kerberos::ProtocolConfig;
 use simnet::{Datagram, FaultPlan, SimTime};
@@ -51,16 +52,6 @@ impl Profile {
     }
 }
 
-/// What one variant run produced (the attacker's scorecard; the
-/// defender's scorecard comes from the attached engine).
-#[derive(Clone, Debug)]
-pub struct VariantOutcome {
-    /// Did the attack itself succeed?
-    pub succeeded: bool,
-    /// What happened, concretely.
-    pub evidence: String,
-}
-
 /// A re-staged attack with an explicit noise profile.
 pub struct Variant {
     /// Variant name, e.g. `"a1-loud"`.
@@ -74,14 +65,14 @@ pub struct Variant {
     pub expected: &'static [&'static str],
     /// Why it is caught or missed.
     pub rationale: &'static str,
-    run: fn(u64) -> VariantOutcome,
+    run: fn(u64) -> Outcome,
 }
 
 impl Variant {
     /// Runs the variant against a fresh deployment. The environment is
     /// built through [`AttackEnv::new`], so an installed
     /// [`crate::env::with_env_hook`] observer sees its tracer.
-    pub fn run(&self, seed: u64) -> VariantOutcome {
+    pub fn run(&self, seed: u64) -> Outcome {
         (self.run)(seed)
     }
 }
@@ -141,11 +132,11 @@ pub fn variants() -> Vec<Variant> {
 }
 
 /// A1 with a replay count, an initial delay, and per-replay spacing.
-fn run_a1(seed: u64, replays: u32, delay_s: u64, spacing_s: u64) -> VariantOutcome {
+fn run_a1(seed: u64, replays: u32, delay_s: u64, spacing_s: u64) -> Outcome {
     let config = ProtocolConfig::v4();
     let mut env = AttackEnv::new(&config, seed);
     if env.victim_session("pat", "files").is_err() {
-        return VariantOutcome { succeeded: false, evidence: "victim session failed".into() };
+        return Outcome::safe("victim session failed");
     }
     let pat = env.user("pat");
     let files_ep = env.realm.service_ep("files");
@@ -164,7 +155,7 @@ fn run_a1(seed: u64, replays: u32, delay_s: u64, spacing_s: u64) -> VariantOutco
         .map(|r| r.dgram.clone())
         .collect();
     if captured.is_empty() {
-        return VariantOutcome { succeeded: false, evidence: "no AP exchange captured".into() };
+        return Outcome::safe("no AP exchange captured");
     }
     let before = env.realm.with_app_server(&mut env.net, "files", |s| s.accepted_count(&pat));
     env.advance_secs(delay_s);
@@ -176,7 +167,7 @@ fn run_a1(seed: u64, replays: u32, delay_s: u64, spacing_s: u64) -> VariantOutco
         env.advance_secs(spacing_s);
     }
     let after = env.realm.with_app_server(&mut env.net, "files", |s| s.accepted_count(&pat));
-    VariantOutcome {
+    Outcome {
         succeeded: after > before,
         evidence: format!(
             "{replays} replay(s) {delay_s}s after capture: {before} -> {after} accepted"
@@ -186,7 +177,7 @@ fn run_a1(seed: u64, replays: u32, delay_s: u64, spacing_s: u64) -> VariantOutco
 
 /// A5 as a harvest campaign: `rounds` probes per principal against
 /// pat, sam, and zach, spaced `spacing_s` apart.
-fn run_a5(seed: u64, rounds: u64, spacing_s: u64) -> VariantOutcome {
+fn run_a5(seed: u64, rounds: u64, spacing_s: u64) -> Outcome {
     let config = ProtocolConfig::v4();
     let mut env = AttackEnv::new(&config, seed);
     let attacker_ep = env.attacker_ep();
@@ -214,7 +205,7 @@ fn run_a5(seed: u64, rounds: u64, spacing_s: u64) -> VariantOutcome {
             env.advance_secs(spacing_s);
         }
     }
-    VariantOutcome {
+    Outcome {
         succeeded: harvested > 0,
         evidence: format!(
             "harvested {harvested}/{probes} AS replies at one probe per {spacing_s}s"
@@ -225,13 +216,13 @@ fn run_a5(seed: u64, rounds: u64, spacing_s: u64) -> VariantOutcome {
 /// The replay-cache-wipe attack: a replay-caching file server crashes
 /// (losing its cache), and the captured authenticator is re-presented
 /// `wait_s` after its restart.
-fn run_crash(seed: u64, wait_s: u64, probe_live_cache: bool) -> VariantOutcome {
+fn run_crash(seed: u64, wait_s: u64, probe_live_cache: bool) -> Outcome {
     let mut config = ProtocolConfig::v4();
     config.replay_cache = true;
     config.name = "v4+replay-cache";
     let mut env = AttackEnv::new(&config, seed);
     if env.victim_session("pat", "files").is_err() {
-        return VariantOutcome { succeeded: false, evidence: "victim session failed".into() };
+        return Outcome::safe("victim session failed");
     }
     let pat = env.user("pat");
     let files_ep = env.realm.service_ep("files");
@@ -250,7 +241,7 @@ fn run_crash(seed: u64, wait_s: u64, probe_live_cache: bool) -> VariantOutcome {
         .map(|r| r.dgram.clone())
         .collect();
     if captured.is_empty() {
-        return VariantOutcome { succeeded: false, evidence: "no AP exchange captured".into() };
+        return Outcome::safe("no AP exchange captured");
     }
     let before = env.realm.with_app_server(&mut env.net, "files", |s| s.accepted_count(&pat));
 
@@ -264,10 +255,7 @@ fn run_crash(seed: u64, wait_s: u64, probe_live_cache: bool) -> VariantOutcome {
         }
         let cached = env.realm.with_app_server(&mut env.net, "files", |s| s.accepted_count(&pat));
         if cached > before {
-            return VariantOutcome {
-                succeeded: true,
-                evidence: "BUG: cache accepted a plain replay".into(),
-            };
+            return Outcome::breach("BUG: cache accepted a plain replay");
         }
     }
 
@@ -290,7 +278,7 @@ fn run_crash(seed: u64, wait_s: u64, probe_live_cache: bool) -> VariantOutcome {
         let _ = env.net.inject(d.clone());
     }
     let after = env.realm.with_app_server(&mut env.net, "files", |s| s.accepted_count(&pat));
-    VariantOutcome {
+    Outcome {
         succeeded: after > before,
         evidence: format!(
             "replay vs live cache refused; {wait_s}s after restart: {before} -> {after} accepted"

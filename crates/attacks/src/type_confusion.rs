@@ -10,7 +10,7 @@
 //! [`Ticket`] naming `root` — valid far into the future — under the
 //! legacy encoding. The typed encoding rejects both cross-readings.
 
-use crate::{Attack, AttackReport};
+use crate::Outcome;
 use kerberos::authenticator::Authenticator;
 #[cfg(test)]
 use kerberos::encoding::Codec;
@@ -62,52 +62,29 @@ pub fn craft_ambiguous_ticket() -> Ticket {
     }
 }
 
-/// The A11 attack object.
-pub struct TypeConfusion;
+/// Runs the attack against a fresh deployment under `config`.
+pub fn run(config: &ProtocolConfig, _seed: u64) -> Outcome {
+    let ticket = craft_ambiguous_ticket();
+    let bytes = ticket.encode(config.codec);
 
-impl Attack for TypeConfusion {
-    fn id(&self) -> &'static str {
-        "A11"
-    }
-
-    fn name(&self) -> &'static str {
-        "ticket/authenticator type confusion"
-    }
-
-    fn run(&self, config: &ProtocolConfig, _seed: u64) -> AttackReport {
-        let report = |succeeded: bool, evidence: String| AttackReport {
-            id: "A11",
-            name: "ticket/authenticator type confusion",
-            config: config.name,
-            succeeded,
-            evidence,
-        };
-
-        let ticket = craft_ambiguous_ticket();
-        let bytes = ticket.encode(config.codec);
-
-        // Can the same bytes be read as an authenticator in a context
-        // expecting one?
-        match Authenticator::decode(config.codec, &bytes) {
-            Ok(auth) => {
-                // Round-trip sanity: the ticket reading survives too.
-                let ticket_again = Ticket::decode(config.codec, &bytes);
-                report(
-                    true,
-                    format!(
-                        "one byte string reads as ticket(client={}) AND authenticator(client={}); \
-                         ticket parse ok={}",
-                        ticket.client,
-                        auth.client,
-                        ticket_again.is_ok()
-                    ),
-                )
-            }
-            Err(KrbError::WrongType { .. }) => {
-                report(false, "typed envelope rejected the cross-reading deterministically".into())
-            }
-            Err(e) => report(false, format!("cross-reading failed structurally: {e}")),
+    // Can the same bytes be read as an authenticator in a context
+    // expecting one?
+    match Authenticator::decode(config.codec, &bytes) {
+        Ok(auth) => {
+            // Round-trip sanity: the ticket reading survives too.
+            let ticket_again = Ticket::decode(config.codec, &bytes);
+            Outcome::breach(format!(
+                "one byte string reads as ticket(client={}) AND authenticator(client={}); \
+                 ticket parse ok={}",
+                ticket.client,
+                auth.client,
+                ticket_again.is_ok()
+            ))
         }
+        Err(KrbError::WrongType { .. }) => {
+            Outcome::safe("typed envelope rejected the cross-reading deterministically")
+        }
+        Err(e) => Outcome::safe(format!("cross-reading failed structurally: {e}")),
     }
 }
 
@@ -117,14 +94,14 @@ mod tests {
 
     #[test]
     fn legacy_is_ambiguous() {
-        let r = TypeConfusion.run(&ProtocolConfig::v4(), 1);
+        let r = run(&ProtocolConfig::v4(), 1);
         assert!(r.succeeded, "{}", r.evidence);
     }
 
     #[test]
     fn typed_is_not() {
-        assert!(!TypeConfusion.run(&ProtocolConfig::v5_draft3(), 1).succeeded);
-        assert!(!TypeConfusion.run(&ProtocolConfig::hardened(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::v5_draft3(), 1).succeeded);
+        assert!(!run(&ProtocolConfig::hardened(), 1).succeeded);
     }
 
     #[test]

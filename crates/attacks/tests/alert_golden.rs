@@ -15,8 +15,7 @@
 //!   down — not just the replay detector A1 exercises.
 
 use attacks::env::{with_env_hook, with_fault_profile, with_trace_capture, FaultProfile};
-use attacks::replay::StolenAuthenticatorReplay;
-use attacks::{all_attacks, Attack};
+use attacks::{all_attacks, replay};
 use kerberos::ProtocolConfig;
 use krb_ids::{default_engine, Engine};
 use krb_trace::{to_jsonl, Event, EventKind, Tracer, Value};
@@ -42,7 +41,7 @@ fn a1_alert_stream(profile: Option<FaultProfile>) -> Vec<Event> {
             })
         };
         let (_report, tracer) = with_trace_capture(|| {
-            with_env_hook(hook, || StolenAuthenticatorReplay.run(&ProtocolConfig::v4(), SEED))
+            with_env_hook(hook, || replay::run(&ProtocolConfig::v4(), SEED))
         });
         for eng in engines.borrow_mut().iter_mut() {
             eng.poll();
@@ -83,7 +82,7 @@ fn matrix_alert_stream() -> Vec<Event> {
                             continue;
                         }
                         let mut fields = vec![
-                            ("attack", Value::str(attack.id())),
+                            ("attack", Value::str(attack.id)),
                             ("config", Value::str(config.name)),
                             ("env", Value::U64(env as u64)),
                         ];

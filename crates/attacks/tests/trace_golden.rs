@@ -10,8 +10,7 @@
 //!   everything else (goldens, bisection, soak triage) rests on.
 
 use attacks::env::{with_fault_profile, with_trace_capture, FaultProfile};
-use attacks::replay::StolenAuthenticatorReplay;
-use attacks::Attack;
+use attacks::replay;
 use kerberos::{PaperLens, ProtocolConfig};
 use krb_trace::{narrate, to_jsonl, Tracer};
 use simnet::LinkFaults;
@@ -22,8 +21,7 @@ const SEED: u64 = 0xE1;
 
 fn a1_tracer(profile: Option<FaultProfile>) -> Tracer {
     let run = || {
-        let (_report, tracer) =
-            with_trace_capture(|| StolenAuthenticatorReplay.run(&ProtocolConfig::v4(), SEED));
+        let (_outcome, tracer) = with_trace_capture(|| replay::run(&ProtocolConfig::v4(), SEED));
         tracer.expect("attack built an environment")
     };
     match profile {

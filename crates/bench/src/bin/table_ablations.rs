@@ -87,7 +87,7 @@ fn main() {
     println!("Defense ablations x attacks (BREACH = attack still works)");
     let attacks = all_attacks();
     let mut headers: Vec<&str> = vec!["ablation"];
-    let ids: Vec<&str> = attacks.iter().map(|a| a.id()).collect();
+    let ids: Vec<&str> = attacks.iter().map(|a| a.id).collect();
     headers.extend(ids.iter());
     let mut table = TextTable::new(&headers);
 
@@ -96,7 +96,7 @@ fn main() {
     for (name, config) in ablations() {
         let mut cells = vec![name.to_string()];
         let mut breaches = 0u64;
-        for attack in &attacks {
+        for attack in attacks {
             let r = attack.run(&config, 0xab1a);
             breaches += u64::from(r.succeeded);
             cells.push(if r.succeeded { "X".into() } else { ".".into() });

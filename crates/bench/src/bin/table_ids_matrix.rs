@@ -95,10 +95,10 @@ fn main() {
         for config in &presets {
             let (report, found) = observe(|| attack.run(config, SEED));
             json.str_field(
-                &format!("{}.{}.detectors", attack.id().to_lowercase(), config.name),
+                &format!("{}.{}.detectors", attack.id.to_lowercase(), config.name),
                 &found.summary(),
             );
-            baseline.insert((attack.id(), config.name), (report, found));
+            baseline.insert((attack.id, config.name), (report, found));
         }
     }
 

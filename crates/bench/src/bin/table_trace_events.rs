@@ -10,8 +10,7 @@
 //! Writes `BENCH_trace_events.json` in the current directory.
 
 use attacks::env::with_trace_capture;
-use attacks::replay::StolenAuthenticatorReplay;
-use attacks::Attack;
+use attacks::replay;
 use bench::{BenchJson, TextTable};
 use kerberos::ProtocolConfig;
 use krb_trace::{to_jsonl, EventKind, Tracer};
@@ -20,7 +19,7 @@ use std::collections::BTreeMap;
 const SEED: u64 = 0xE15;
 
 fn a1_trace(config: &ProtocolConfig) -> Tracer {
-    let (_report, tracer) = with_trace_capture(|| StolenAuthenticatorReplay.run(config, SEED));
+    let (_report, tracer) = with_trace_capture(|| replay::run(config, SEED));
     tracer.expect("A1 builds an environment under every preset")
 }
 

@@ -25,11 +25,11 @@ use std::rc::Rc;
 /// exactly the trace the golden test locks down.
 const SEED: u64 = 0xE1;
 
-fn find_attack(pat: &str) -> Option<Box<dyn Attack>> {
+fn find_attack(pat: &str) -> Option<&'static Attack> {
     let lower = pat.to_lowercase();
     all_attacks()
-        .into_iter()
-        .find(|a| a.id().eq_ignore_ascii_case(pat) || a.name().to_lowercase().contains(&lower))
+        .iter()
+        .find(|a| a.id.eq_ignore_ascii_case(pat) || a.name.to_lowercase().contains(&lower))
 }
 
 fn find_config(name: &str) -> Option<ProtocolConfig> {
@@ -106,7 +106,7 @@ fn narrate_overload(scenario: Scenario, alerts: bool) {
 fn usage() -> ! {
     eprintln!("usage: trace_narrate --narrate <attack-id-or-name-substring> [config] [--alerts]");
     eprintln!("  --alerts: run the default krb-ids rules online and interleave their findings");
-    eprintln!("  attacks: {}", all_attacks().iter().map(|a| a.id()).collect::<Vec<_>>().join(" "));
+    eprintln!("  attacks: {}", all_attacks().iter().map(|a| a.id).collect::<Vec<_>>().join(" "));
     eprintln!("  gateway scenarios: gateway flash-crowd preauth-storm misbehaving-herd crash-restart");
     eprintln!(
         "  configs: {}",
@@ -153,7 +153,7 @@ fn main() {
     let Some(tracer) = tracer else {
         eprintln!(
             "{} did not build a traced environment under config {} (nothing to narrate)",
-            attack.id(),
+            attack.id,
             config.name
         );
         std::process::exit(1);

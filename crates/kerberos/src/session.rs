@@ -242,13 +242,10 @@ impl Session {
         my_addr: u32,
         rng: &mut dyn RandomSource,
     ) -> Result<Vec<u8>, KrbError> {
-        let (ts_or_seq, iv) = match self.freshness {
-            Freshness::Timestamp => (now_us, 0),
-            Freshness::SequenceNumbers => {
-                let s = self.send_seq;
-                self.send_seq = self.send_seq.wrapping_add(1);
-                (s, s)
-            }
+        let ts_or_seq = self.next_stamp(now_us);
+        let iv = match self.freshness {
+            Freshness::Timestamp => 0,
+            Freshness::SequenceNumbers => ts_or_seq,
         };
         let part = PrivPart { data: data.to_vec(), ts_or_seq, direction: self.send_dir, addr: my_addr };
         let pt = match self.layer {
@@ -281,32 +278,7 @@ impl Session {
             self.rejected += 1;
         })?;
 
-        if part.direction != self.send_dir.flip() {
-            self.rejected += 1;
-            return Err(KrbError::Decode("wrong direction"));
-        }
-        match self.freshness {
-            Freshness::Timestamp => {
-                if part.ts_or_seq.abs_diff(now_us) > self.skew_us {
-                    self.rejected += 1;
-                    return Err(KrbError::SkewExceeded {
-                        diff_us: part.ts_or_seq.abs_diff(now_us),
-                        limit_us: self.skew_us,
-                    });
-                }
-                if !self.recent.insert(part.ts_or_seq) {
-                    self.rejected += 1;
-                    return Err(KrbError::Replay);
-                }
-            }
-            Freshness::SequenceNumbers => {
-                if part.ts_or_seq != self.recv_seq {
-                    self.rejected += 1;
-                    return Err(KrbError::Replay);
-                }
-                self.recv_seq = self.recv_seq.wrapping_add(1);
-            }
-        }
+        self.check_fresh(&part, now_us)?;
         Ok(part.data)
     }
 
@@ -319,14 +291,7 @@ impl Session {
         my_addr: u32,
         config: &ProtocolConfig,
     ) -> Result<Vec<u8>, KrbError> {
-        let ts_or_seq = match self.freshness {
-            Freshness::Timestamp => now_us,
-            Freshness::SequenceNumbers => {
-                let s = self.send_seq;
-                self.send_seq = self.send_seq.wrapping_add(1);
-                s
-            }
-        };
+        let ts_or_seq = self.next_stamp(now_us);
         let part = PrivPart { data: data.to_vec(), ts_or_seq, direction: self.send_dir, addr: my_addr };
         let body = encode_priv_hardened(&part);
         let key_opt = config.checksum.is_keyed().then_some(&self.key);
@@ -360,6 +325,33 @@ impl Session {
             return Err(KrbError::BadChecksum);
         }
 
+        self.check_fresh(&part, now_us)?;
+        Ok(part.data)
+    }
+
+    /// Timestamp-cache size (state cost, E7).
+    pub fn timestamp_cache_entries(&self) -> usize {
+        self.recent.len()
+    }
+
+    /// The freshness stamp of the next KRB_PRIV or KRB_SAFE message:
+    /// the sender's clock, or the next send sequence number (consumed).
+    fn next_stamp(&mut self, now_us: u64) -> u64 {
+        match self.freshness {
+            Freshness::Timestamp => now_us,
+            Freshness::SequenceNumbers => {
+                let s = self.send_seq;
+                self.send_seq = self.send_seq.wrapping_add(1);
+                s
+            }
+        }
+    }
+
+    /// The direction and freshness checks every received KRB_PRIV and
+    /// KRB_SAFE message must pass: it travels the peer's way, and its
+    /// timestamp is within the skew and unseen, or its sequence number
+    /// is the next one expected.
+    fn check_fresh(&mut self, part: &PrivPart, now_us: u64) -> Result<(), KrbError> {
         if part.direction != self.send_dir.flip() {
             self.rejected += 1;
             return Err(KrbError::Decode("wrong direction"));
@@ -386,12 +378,7 @@ impl Session {
                 self.recv_seq = self.recv_seq.wrapping_add(1);
             }
         }
-        Ok(part.data)
-    }
-
-    /// Timestamp-cache size (state cost, E7).
-    pub fn timestamp_cache_entries(&self) -> usize {
-        self.recent.len()
+        Ok(())
     }
 }
 

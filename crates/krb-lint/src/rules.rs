@@ -12,6 +12,7 @@ use crate::config::{
 };
 use crate::diag::{Finding, Rule};
 use crate::lexer::{is_keyword, TokKind, Token};
+use crate::syntax::{in_regions, next_brace_block, significant, test_regions};
 
 /// One source file, lexed, with enough context to scope rules.
 pub struct FileCtx<'a> {
@@ -29,87 +30,10 @@ impl FileCtx<'_> {
     }
 }
 
-/// Indices of significant (non-whitespace, non-comment) tokens.
-fn significant(tokens: &[Token<'_>]) -> Vec<usize> {
-    tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| {
-            !matches!(t.kind, TokKind::Whitespace | TokKind::LineComment | TokKind::BlockComment)
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Byte ranges of test-only code: `#[cfg(test)] mod ... { .. }` bodies
-/// and `#[test] fn ... { .. }` bodies.
-fn test_regions(ctx: &FileCtx<'_>, sig: &[usize]) -> Vec<(usize, usize)> {
-    let toks = ctx.tokens;
-    let mut regions = Vec::new();
-    let mut i = 0;
-    while i + 4 < sig.len() {
-        let t = |k: usize| toks[sig[k]].text;
-        // #[cfg(test)] or #[test]
-        if t(i) == "#" && t(i + 1) == "[" {
-            let is_cfg_test = i + 5 < sig.len()
-                && t(i + 2) == "cfg"
-                && t(i + 3) == "("
-                && t(i + 4) == "test"
-                && t(i + 5) == ")";
-            let is_test_attr = t(i + 2) == "test" && t(i + 3) == "]";
-            if is_cfg_test || is_test_attr {
-                // Find the next `{` at the item level and take its body.
-                if let Some((open, close)) = next_brace_block(toks, sig, i) {
-                    regions.push((toks[sig[open]].start, toks[sig[close]].start));
-                    i = open; // regions may nest; keep scanning inside
-                }
-            }
-        }
-        i += 1;
-    }
-    regions
-}
-
-/// From `from`, finds the next top-level `{` and its matching `}`
-/// (indices into `sig`). Tolerates unbalanced files by returning `None`.
-fn next_brace_block(toks: &[Token<'_>], sig: &[usize], from: usize) -> Option<(usize, usize)> {
-    let mut open = None;
-    for (k, &si) in sig.iter().enumerate().skip(from) {
-        if toks[si].text == "{" {
-            open = Some(k);
-            break;
-        }
-        // A `;` before any `{` means the attribute decorated a
-        // body-less item (e.g. `#[test] fn x();` in a trait): no block.
-        if toks[si].text == ";" {
-            return None;
-        }
-    }
-    let open = open?;
-    let mut depth = 0i64;
-    for (k, &si) in sig.iter().enumerate().skip(open) {
-        match toks[si].text {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((open, k));
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn in_regions(regions: &[(usize, usize)], tok: &Token<'_>) -> bool {
-    regions.iter().any(|&(s, e)| tok.start >= s && tok.start <= e)
-}
-
 /// Runs every source rule over one file.
 pub fn check_file(ctx: &FileCtx<'_>) -> Vec<Finding> {
     let sig = significant(ctx.tokens);
-    let tests = test_regions(ctx, &sig);
+    let tests = test_regions(ctx.tokens, &sig);
     let mut out = Vec::new();
     rule_s001_derive_leak(ctx, &sig, &mut out);
     rule_s002_format_leak(ctx, &sig, &tests, &mut out);

@@ -4,8 +4,7 @@
 //!
 //! Run: `cargo run --example clock_games`
 
-use kerberos_limits::atk::time_spoof::TimeSpoof;
-use kerberos_limits::atk::Attack;
+use kerberos_limits::atk::time_spoof;
 use kerberos_limits::krb::ProtocolConfig;
 use kerberos_limits::net::time::{
     krb_key::MacKey, sync_authenticated, sync_unauthenticated, AuthTimeService, SyncOutcome,
@@ -62,7 +61,7 @@ fn main() {
     // Scene 2: the full A3 attack against each configuration.
     println!("== Scene 2: stale-authenticator replay via clock spoof (attack A3) ==");
     for config in ProtocolConfig::presets() {
-        let r = TimeSpoof.run(&config, 3);
+        let r = time_spoof::run(&config, 3);
         println!("  {:10} -> {}: {}", config.name, if r.succeeded { "BREACH" } else { "safe" }, r.evidence);
     }
     println!(

@@ -4,8 +4,7 @@
 //!
 //! Run: `cargo run --example cut_and_paste`
 
-use kerberos_limits::atk::cut_paste::EncTktInSkeyCutPaste;
-use kerberos_limits::atk::Attack;
+use kerberos_limits::atk::cut_paste;
 use kerberos_limits::krb::ProtocolConfig;
 use krb_crypto::checksum::ChecksumType;
 use krb_crypto::crc32::{crc32, forge_suffix};
@@ -25,7 +24,7 @@ fn main() {
 
     // Act 1: the full attack against Draft 3 as written.
     println!("== Act 1: against v5-draft3 (CRC-32 permitted, cname check omitted) ==");
-    let r = EncTktInSkeyCutPaste.run(&ProtocolConfig::v5_draft3(), 1991);
+    let r = cut_paste::run(&ProtocolConfig::v5_draft3(), 1991);
     println!("  outcome: {}", if r.succeeded { "BREACH" } else { "safe" });
     println!("  {}\n", r.evidence);
 
@@ -33,7 +32,7 @@ fn main() {
     println!("== Act 2: with the cname check Draft 3 inadvertently omitted ==");
     let mut fixed = ProtocolConfig::v5_draft3();
     fixed.enforce_cname_match = true;
-    let r = EncTktInSkeyCutPaste.run(&fixed, 1991);
+    let r = cut_paste::run(&fixed, 1991);
     println!("  outcome: {}", if r.succeeded { "BREACH" } else { "safe" });
     println!("  {}\n", r.evidence);
 
@@ -41,7 +40,7 @@ fn main() {
     println!("== Act 3: with a collision-proof checksum (MD4 encrypted with DES) ==");
     let mut fixed = ProtocolConfig::v5_draft3();
     fixed.checksum = ChecksumType::Md4Des;
-    let r = EncTktInSkeyCutPaste.run(&fixed, 1991);
+    let r = cut_paste::run(&fixed, 1991);
     println!("  outcome: {}", if r.succeeded { "BREACH" } else { "safe" });
     println!("  {}\n", r.evidence);
 

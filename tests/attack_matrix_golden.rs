@@ -37,8 +37,8 @@ fn rendered_matrix_matches_experiments_md() {
 
 #[test]
 fn matrix_outcomes_match_expected_grid() {
-    // Same data, structurally: every run cell agrees with the EXPECTED
-    // grid (42 cells: 14 attacks × 3 configurations).
+    // Same data, structurally: every run cell agrees with the
+    // catalogue's expected grid (42 cells: 14 attacks × 3 configurations).
     let reports = run_matrix(0xE1);
     assert_eq!(reports.len(), 42);
     for r in &reports {

@@ -1,6 +1,7 @@
 //! E6 — encryption-layer throughput: V4 PCBC vs Draft-3 CBC(+confounder)
 //! vs hardened CBC+MAC, across message sizes; and E13's one DES block,
-//! fused SP-table kernel vs the retained reference.
+//! fused SP-table kernel vs the retained reference, and one block's
+//! share of the four-lane call the mode drivers decrypt with.
 
 use bench::bench::{Harness, Throughput};
 use kerberos::enclayer::EncLayer;
@@ -30,7 +31,10 @@ fn bench_seal(h: &mut Harness) {
 
 fn bench_open(h: &mut Harness) {
     let key = DesKey::from_u64(0x0123456789ABCDEF).with_odd_parity();
-    for size in [64usize, 1024, 8192] {
+    // 48 B seals to seven blocks under every layer (its length word or
+    // confounder adds a block): one four-lane group and a three-block
+    // remainder.
+    for size in [48usize, 64, 1024, 8192] {
         let data = vec![0x5au8; size];
         for (name, layer) in LAYERS {
             let mut rng = Drbg::new(1);
@@ -69,6 +73,12 @@ fn bench_des_block(h: &mut Harness) {
     h.run("des_block/fast", || des::encrypt_block(&ks, std::hint::black_box(block)));
     h.run("des_block/reference", || {
         des::reference::encrypt_block(&rk, std::hint::black_box(block))
+    });
+    // Latency against throughput: one block alone waits on every
+    // round's table loads; four independent blocks overlap them.
+    let blocks = [block, !block, block.rotate_left(8), block.rotate_left(16)];
+    h.run_per_unit("des_block/fast-4lane", 4, || {
+        des::decrypt_blocks([&ks; 4], std::hint::black_box(blocks))
     });
 }
 

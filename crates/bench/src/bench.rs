@@ -107,12 +107,19 @@ impl Harness {
 
     /// Benchmarks `f`, recording under `id`.
     pub fn run<R>(&mut self, id: &str, f: impl FnMut() -> R) {
-        self.record(id, None, f);
+        self.record(id, None, 1, f);
     }
 
     /// Benchmarks `f` with a throughput annotation.
     pub fn run_throughput<R>(&mut self, id: &str, tp: Throughput, f: impl FnMut() -> R) {
-        self.record(id, Some(tp), f);
+        self.record(id, Some(tp), 1, f);
+    }
+
+    /// Benchmarks `f`, which does `units` equal pieces of work per call,
+    /// recording nanoseconds per piece: one block's share of a
+    /// multi-lane call, say.
+    pub fn run_per_unit<R>(&mut self, id: &str, units: u64, f: impl FnMut() -> R) {
+        self.record(id, None, units.max(1), f);
     }
 
     /// Benchmarks `routine`, re-running `setup` untimed before every
@@ -143,7 +150,7 @@ impl Harness {
         self.summarize(id, None, 1, per_iter);
     }
 
-    fn record<R>(&mut self, id: &str, tp: Option<Throughput>, mut f: impl FnMut() -> R) {
+    fn record<R>(&mut self, id: &str, tp: Option<Throughput>, units: u64, mut f: impl FnMut() -> R) {
         // Warmup and calibration: count iterations in the warmup window,
         // then size batches to the per-sample target.
         let warm_start = Instant::now();
@@ -161,7 +168,7 @@ impl Harness {
             for _ in 0..batch {
                 std::hint::black_box(f());
             }
-            per_iter_ns.push(t0.elapsed().as_secs_f64() * 1e9 / batch as f64);
+            per_iter_ns.push(t0.elapsed().as_secs_f64() * 1e9 / (batch * units) as f64);
         }
         self.summarize(id, tp, batch, per_iter_ns);
     }

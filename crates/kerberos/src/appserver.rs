@@ -17,7 +17,7 @@ use crate::session::{Direction, Session};
 use crate::ticket::Ticket;
 use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::rng::{Drbg, RandomSource};
-use krb_trace::{EventKind, Tracer, Value};
+use krb_trace::{EventKind, Tracer, Value, ValueRef};
 use simnet::{Endpoint, NetError, Network, Service, ServiceCtx, SimDuration};
 use std::collections::BTreeMap;
 
@@ -31,26 +31,6 @@ pub trait AppLogic {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         None
     }
-}
-
-/// An authentication decision, recorded for attack forensics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AuthEvent {
-    /// The server accepted an AP exchange as `client` coming from
-    /// `from`.
-    Accepted {
-        /// Authenticated identity.
-        client: Principal,
-        /// Network origin.
-        from: Endpoint,
-    },
-    /// The server rejected an attempt.
-    Rejected {
-        /// Why.
-        reason: String,
-        /// Network origin.
-        from: Endpoint,
-    },
 }
 
 /// A kerberized application server bound to one port.
@@ -70,8 +50,10 @@ pub struct AppServer {
     authorized: BTreeMap<Endpoint, Principal>,
     /// Application behavior.
     pub logic: Box<dyn AppLogic>,
-    /// Authentication decisions, in order.
-    pub auth_log: Vec<AuthEvent>,
+    /// Accepted AP exchanges per client: one entry per client that
+    /// ever authenticated, so spoofed and malformed datagrams add
+    /// nothing. Rejections go to the trace only (`ap.rejected`).
+    accepted: BTreeMap<Principal, usize>,
     /// Simulated stable storage: the last replay-cache snapshot (the
     /// only state that survives a crash window besides the service key).
     disk: Option<Vec<u8>>,
@@ -105,7 +87,7 @@ impl AppServer {
             sessions: BTreeMap::new(),
             authorized: BTreeMap::new(),
             logic,
-            auth_log: Vec::new(),
+            accepted: BTreeMap::new(),
             disk: None,
             last_snapshot_us: 0,
             restarts: 0,
@@ -128,10 +110,18 @@ impl AppServer {
     /// Count of accepted authentications for a given client name (attack
     /// evidence helper).
     pub fn accepted_count(&self, client: &Principal) -> usize {
-        self.auth_log
-            .iter()
-            .filter(|e| matches!(e, AuthEvent::Accepted { client: c, .. } if c == client))
-            .count()
+        self.accepted.get(client).copied().unwrap_or(0)
+    }
+
+    /// Counts one accepted AP exchange for `client`; only a client's
+    /// first acceptance copies its name.
+    fn count_accept(&mut self, client: &Principal) {
+        match self.accepted.get_mut(client) {
+            Some(n) => *n += 1,
+            None => {
+                self.accepted.insert(client.clone(), 1);
+            }
+        }
     }
 
     /// The replay cache, for state-cost measurements.
@@ -158,7 +148,6 @@ impl AppServer {
             ],
         );
         self.trace.counter("ap.rejected", &self.principal.name, 1);
-        self.auth_log.push(AuthEvent::Rejected { reason: reason.into(), from });
         KrbErrorMsg { code, text: reason.into(), challenge: None }.encode(self.config.codec)
     }
 
@@ -212,17 +201,18 @@ impl AppServer {
         );
         self.sessions.insert(from, session);
         self.authorized.insert(from, ticket.client.clone());
-        self.trace.emit(
+        let (client_name, src) = (ticket.client.to_string(), from.addr.to_string());
+        self.trace.emit_ref(
             EventKind::AuthAccepted,
             self.trace_now_us,
-            vec![
-                ("service", Value::str(&self.principal.name)),
-                ("client", Value::str(ticket.client.to_string())),
-                ("src", Value::str(from.addr.to_string())),
+            [
+                ("service", ValueRef::Str(&self.principal.name)),
+                ("client", ValueRef::Str(&client_name)),
+                ("src", ValueRef::Str(&src)),
             ],
         );
         self.trace.counter("ap.accepted", &ticket.client.name, 1);
-        self.auth_log.push(AuthEvent::Accepted { client: ticket.client.clone(), from });
+        self.count_accept(&ticket.client);
 
         let part = EncApRepPart { ts_echo, subkey: server_subkey, seq_init: Some(server_seq) };
         let sealed = match self.config.ticket_layer.seal_with(
@@ -721,9 +711,46 @@ mod tests {
         let config = ProtocolConfig::v4();
         let key = DesKey::from_u64(1).with_odd_parity();
         let mut srv = AppServer::new(config, Principal::service("echo", "h", "R"), key, Box::new(Echo), 7);
-        let from = Endpoint::new(simnet::Addr::new(1, 2, 3, 4), 9);
-        srv.auth_log.push(AuthEvent::Accepted { client: Principal::user("pat", "R"), from });
+        srv.count_accept(&Principal::user("pat", "R"));
         assert_eq!(srv.accepted_count(&Principal::user("pat", "R")), 1);
         assert_eq!(srv.accepted_count(&Principal::user("sam", "R")), 0);
+    }
+
+    /// Every per-peer and per-client collection the server keeps.
+    fn state_sizes(srv: &AppServer) -> [usize; 5] {
+        [
+            srv.pending.len(),
+            srv.sessions.len(),
+            srv.authorized.len(),
+            srv.accepted.len(),
+            srv.replay_cache.live_entries(),
+        ]
+    }
+
+    #[test]
+    fn spoofed_rejections_leave_no_state() {
+        // A service must not grow state on an unauthenticated sender's
+        // say-so: a flood of well-framed garbage from distinct forged
+        // sources is rejected, traced and counted, and the server keeps
+        // nothing of it.
+        for config in [ProtocolConfig::v4(), ProtocolConfig::v5_draft3(), ProtocolConfig::hardened()] {
+            let key = DesKey::from_u64(1).with_odd_parity();
+            let principal = Principal::service("echo", "h", "R");
+            let mut srv = AppServer::new(config, principal, key, Box::new(Echo), 7);
+            let mut ctx =
+                ServiceCtx::detached(simnet::SimTime(1_000_000), "h", simnet::Addr::new(10, 0, 0, 9), true);
+            let before = state_sizes(&srv);
+            let kinds =
+                [WireKind::ApReq, WireKind::ChallengeResp, WireKind::Priv, WireKind::Safe, WireKind::AsReq];
+            for i in 0..1_000u32 {
+                let from = Endpoint::new(simnet::Addr(0x0b00_0000 + i), 1024);
+                let kind = kinds[i as usize % kinds.len()];
+                let datagram = frame(kind, vec![0x5a; 8 + i as usize % 64]);
+                let reply = srv.handle(&mut ctx, &datagram, from).expect("a KRB-ERROR reply");
+                assert_eq!(deframe(&reply).map(|(k, _)| k).ok(), Some(WireKind::Err), "datagram {i}");
+            }
+            assert_eq!(state_sizes(&srv), before);
+            assert_eq!(ctx.tracer.snapshot()["ap.rejected{echo}"], 1_000);
+        }
     }
 }

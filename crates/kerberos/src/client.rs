@@ -17,7 +17,7 @@ use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::RandomSource;
 use krb_crypto::s2k;
-use krb_trace::{EventKind, Value};
+use krb_trace::{EventKind, Value, ValueRef};
 use simnet::{Endpoint, Network, SimDuration};
 
 /// How the user authenticates at login.
@@ -239,13 +239,15 @@ pub fn login_at(
         }
 
         let tr = net.tracer();
-        tr.emit(
+        let (client_name, key_fpr) =
+            (client.to_string(), crate::traceview::fingerprint(&part.session_key));
+        tr.emit_ref(
             EventKind::TicketDecrypted,
             net.now().0,
-            vec![
-                ("exchange", Value::str("as")),
-                ("client", Value::str(client.to_string())),
-                ("key_fpr", Value::str(crate::traceview::fingerprint(&part.session_key))),
+            [
+                ("exchange", ValueRef::Str("as")),
+                ("client", ValueRef::Str(&client_name)),
+                ("key_fpr", ValueRef::Str(&key_fpr)),
             ],
         );
         tr.counter("client.tickets", &client.name, 1);
@@ -382,14 +384,16 @@ pub fn get_service_ticket_at(
         }
 
         let tr = net.tracer();
-        tr.emit(
+        let (client_name, service_name) = (tgt.client.to_string(), service.to_string());
+        let key_fpr = crate::traceview::fingerprint(&part.session_key);
+        tr.emit_ref(
             EventKind::TicketDecrypted,
             net.now().0,
-            vec![
-                ("exchange", Value::str("tgs")),
-                ("client", Value::str(tgt.client.to_string())),
-                ("service", Value::str(service.to_string())),
-                ("key_fpr", Value::str(crate::traceview::fingerprint(&part.session_key))),
+            [
+                ("exchange", ValueRef::Str("tgs")),
+                ("client", ValueRef::Str(&client_name)),
+                ("service", ValueRef::Str(&service_name)),
+                ("key_fpr", ValueRef::Str(&key_fpr)),
             ],
         );
         tr.counter("client.tickets", &tgt.client.name, 1);

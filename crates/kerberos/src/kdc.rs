@@ -23,7 +23,7 @@ use krb_crypto::checksum;
 use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::{Drbg, RandomSource};
-use krb_trace::{EventKind, Tracer, Value};
+use krb_trace::{EventKind, Tracer, Value, ValueRef};
 use simnet::{Endpoint, Service, ServiceCtx};
 use std::collections::BTreeMap;
 
@@ -458,15 +458,17 @@ impl Kdc {
         session_key: &DesKey,
         end_time: u64,
     ) {
-        self.trace.emit(
+        let (client_name, service_name) = (client.to_string(), service.to_string());
+        let key_fpr = crate::traceview::fingerprint(session_key);
+        self.trace.emit_ref(
             EventKind::TicketIssued,
             self.trace_now_us,
-            vec![
-                ("exchange", Value::str(exchange)),
-                ("client", Value::str(client.to_string())),
-                ("service", Value::str(service.to_string())),
-                ("key_fpr", Value::str(crate::traceview::fingerprint(session_key))),
-                ("end_time_us", Value::U64(end_time)),
+            [
+                ("exchange", ValueRef::Str(exchange)),
+                ("client", ValueRef::Str(&client_name)),
+                ("service", ValueRef::Str(&service_name)),
+                ("key_fpr", ValueRef::Str(&key_fpr)),
+                ("end_time_us", ValueRef::U64(end_time)),
             ],
         );
         self.trace.counter("kdc.issued", &client.name, 1);

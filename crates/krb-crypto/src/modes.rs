@@ -15,9 +15,22 @@
 //! path — plus a thin allocating wrapper with the historical
 //! `(key, data) -> Vec<u8>` signature that expands the key's schedule
 //! for that one call.
+//!
+//! Decryption runs [`LANES`] blocks at a time through the lane kernel
+//! ([`crate::des::decrypt_blocks`]): in CBC and PCBC alike `D(C_i)`
+//! needs only `C_i`, so the block-cipher calls of one message are
+//! independent and only the cheap XOR unchaining is ordered. The chain
+//! carries from one group into the next. Encryption cannot do this in
+//! the chained modes — `C_i` feeds the next block's input — so CBC and
+//! PCBC encrypt one block at a time; ECB shares the lane driver both
+//! ways.
 
-use crate::des::{decrypt_block, encrypt_block, DesKey, KeySchedule};
+use crate::des::{decrypt_blocks, encrypt_block, encrypt_blocks, DesKey, KeySchedule};
 use crate::error::CryptoError;
+
+/// Blocks one lane-kernel call processes. A message's 1–3-block
+/// remainder takes the kernel's smaller lane instances.
+const LANES: usize = 4;
 
 /// Converts an 8-byte chunk to a big-endian u64.
 pub(crate) fn load_block(chunk: &[u8]) -> u64 {
@@ -54,23 +67,56 @@ fn check_blocks(data: &[u8]) -> Result<(), CryptoError> {
     Ok(())
 }
 
-/// Encrypts `data` in ECB mode in place. `data` must be a multiple of 8
-/// bytes.
-pub fn ecb_encrypt_in_place(ks: &KeySchedule, data: &mut [u8]) -> Result<(), CryptoError> {
+/// Runs every block of `data` through the block cipher, [`LANES`] at a
+/// time, and stores `finish(out, in)` for each block in order: `out` is
+/// the cipher's output for the block's input `in`. `finish` carries a
+/// mode's chain from block to block, across group boundaries too.
+fn crypt_grouped<const DECRYPT: bool>(
+    ks: &KeySchedule,
+    data: &mut [u8],
+    mut finish: impl FnMut(u64, u64) -> u64,
+) -> Result<(), CryptoError> {
     check_blocks(data)?;
-    for chunk in data.chunks_exact_mut(8) {
-        store_block(encrypt_block(ks, load_block(chunk)), chunk);
+    let mut groups = data.chunks_exact_mut(8 * LANES);
+    for group in &mut groups {
+        crypt_group::<LANES, DECRYPT>(ks, group, &mut finish);
+    }
+    let rest = groups.into_remainder();
+    match rest.len() / 8 {
+        3 => crypt_group::<3, DECRYPT>(ks, rest, &mut finish),
+        2 => crypt_group::<2, DECRYPT>(ks, rest, &mut finish),
+        1 => crypt_group::<1, DECRYPT>(ks, rest, &mut finish),
+        _ => {}
     }
     Ok(())
 }
 
+/// One kernel call over the `N` blocks of `group`.
+#[inline(always)]
+fn crypt_group<const N: usize, const DECRYPT: bool>(
+    ks: &KeySchedule,
+    group: &mut [u8],
+    finish: &mut impl FnMut(u64, u64) -> u64,
+) {
+    let mut input = [0u64; N];
+    for (v, chunk) in input.iter_mut().zip(group.chunks_exact(8)) {
+        *v = load_block(chunk);
+    }
+    let out = if DECRYPT { decrypt_blocks([ks; N], input) } else { encrypt_blocks([ks; N], input) };
+    for ((chunk, o), i) in group.chunks_exact_mut(8).zip(out).zip(input) {
+        store_block(finish(o, i), chunk);
+    }
+}
+
+/// Encrypts `data` in ECB mode in place. `data` must be a multiple of 8
+/// bytes.
+pub fn ecb_encrypt_in_place(ks: &KeySchedule, data: &mut [u8]) -> Result<(), CryptoError> {
+    crypt_grouped::<false>(ks, data, |c, _| c)
+}
+
 /// Decrypts `data` in ECB mode in place.
 pub fn ecb_decrypt_in_place(ks: &KeySchedule, data: &mut [u8]) -> Result<(), CryptoError> {
-    check_blocks(data)?;
-    for chunk in data.chunks_exact_mut(8) {
-        store_block(decrypt_block(ks, load_block(chunk)), chunk);
-    }
-    Ok(())
+    crypt_grouped::<true>(ks, data, |p, _| p)
 }
 
 /// Encrypts `data` in CBC mode in place with the given IV.
@@ -84,16 +130,15 @@ pub fn cbc_encrypt_in_place(ks: &KeySchedule, iv: u64, data: &mut [u8]) -> Resul
     Ok(())
 }
 
-/// Decrypts `data` in CBC mode in place with the given IV.
+/// Decrypts `data` in CBC mode in place with the given IV:
+/// `P_i = D(C_i) ^ C_{i-1}`, with `C_0` the IV.
 pub fn cbc_decrypt_in_place(ks: &KeySchedule, iv: u64, data: &mut [u8]) -> Result<(), CryptoError> {
-    check_blocks(data)?;
     let mut prev = iv;
-    for chunk in data.chunks_exact_mut(8) {
-        let ct = load_block(chunk);
-        store_block(decrypt_block(ks, ct) ^ prev, chunk);
-        prev = ct;
-    }
-    Ok(())
+    crypt_grouped::<true>(ks, data, |d, c| {
+        let p = d ^ prev;
+        prev = c;
+        p
+    })
 }
 
 /// Encrypts `data` in place in Kerberos V4's PCBC (propagating CBC) mode:
@@ -110,17 +155,14 @@ pub fn pcbc_encrypt_in_place(ks: &KeySchedule, iv: u64, data: &mut [u8]) -> Resu
     Ok(())
 }
 
-/// Decrypts PCBC mode in place.
+/// Decrypts PCBC mode in place: `P_i = D(C_i) ^ P_{i-1} ^ C_{i-1}`.
 pub fn pcbc_decrypt_in_place(ks: &KeySchedule, iv: u64, data: &mut [u8]) -> Result<(), CryptoError> {
-    check_blocks(data)?;
     let mut chain = iv;
-    for chunk in data.chunks_exact_mut(8) {
-        let c = load_block(chunk);
-        let p = decrypt_block(ks, c) ^ chain;
-        store_block(p, chunk);
+    crypt_grouped::<true>(ks, data, |d, c| {
+        let p = d ^ chain;
         chain = p ^ c;
-    }
-    Ok(())
+        p
+    })
 }
 
 /// Encrypts in ECB mode. `data` must be a multiple of 8 bytes.

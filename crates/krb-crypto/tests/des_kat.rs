@@ -6,8 +6,9 @@
 //! implementation in `des::reference`, which expands its own round keys
 //! bit by bit. The KATs pin both against the published FIPS 81 worked
 //! examples, and the `testkit::prop` suite drives randomized
-//! equivalence over random keys, one lane and several (replay a failure
-//! with the printed `TESTKIT_SEED`).
+//! equivalence over random keys, one lane and several, and holds the
+//! lane-grouped mode decryptors to the reference one block at a time
+//! (replay a failure with the printed `TESTKIT_SEED`).
 
 use krb_crypto::des::{self, DesKey, KeySchedule};
 use krb_crypto::modes;
@@ -78,7 +79,49 @@ fn lanes_match_reference<const N: usize>(keys: &[u64], blocks: &[u64]) {
     }
 }
 
+/// Block-at-a-time ECB, CBC and PCBC decryption on the reference
+/// kernel: `[ecb, cbc, pcbc]` plaintexts of `ct` under `key` and `iv`.
+fn reference_decrypt(key: &DesKey, iv: u64, ct: &[u64]) -> [Vec<u64>; 3] {
+    let rk = des::reference::round_keys(key);
+    let (mut prev, mut chain) = (iv, iv);
+    let (mut ecb, mut cbc, mut pcbc) = (Vec::new(), Vec::new(), Vec::new());
+    for &c in ct {
+        let d = des::reference::decrypt_block(&rk, c);
+        ecb.push(d);
+        cbc.push(d ^ prev);
+        prev = c;
+        let p = d ^ chain;
+        pcbc.push(p);
+        chain = p ^ c;
+    }
+    [ecb, cbc, pcbc]
+}
+
 testkit::prop! {
+    /// The lane-grouped decryptors equal one reference block at a time
+    /// at every length from 0 to 17 blocks: whole groups, every
+    /// 1–3-block remainder, and the CBC and PCBC chains carried across
+    /// up to four group boundaries.
+    fn grouped_decrypt_matches_reference_at_every_length(
+        key in arb_key(),
+        iv in any::<u64>(),
+        ct in collection::vec(any::<u64>(), 17),
+    ) {
+        let ks = KeySchedule::new(&key);
+        for n in 0..=ct.len() {
+            let [ecb, cbc, pcbc] = reference_decrypt(&key, iv, &ct[..n]);
+            let mut buf = blocks_to_bytes(&ct[..n]);
+            modes::ecb_decrypt_in_place(&ks, &mut buf).unwrap();
+            prop_assert_eq!(bytes_to_blocks(&buf), ecb, "ecb, {} blocks", n);
+            let mut buf = blocks_to_bytes(&ct[..n]);
+            modes::cbc_decrypt_in_place(&ks, iv, &mut buf).unwrap();
+            prop_assert_eq!(bytes_to_blocks(&buf), cbc, "cbc, {} blocks", n);
+            let mut buf = blocks_to_bytes(&ct[..n]);
+            modes::pcbc_decrypt_in_place(&ks, iv, &mut buf).unwrap();
+            prop_assert_eq!(bytes_to_blocks(&buf), pcbc, "pcbc, {} blocks", n);
+        }
+    }
+
     fn fast_encrypt_matches_reference(k in any::<u64>(), pt in any::<u64>()) {
         let key = DesKey::from_u64(k);
         let (ks, rk) = (KeySchedule::new(&key), des::reference::round_keys(&key));

@@ -15,8 +15,9 @@ fn arb_key() -> impl Strategy<Value = DesKey> {
     any::<u64>().prop_map(|v| DesKey::from_u64(v).with_odd_parity())
 }
 
+/// Up to ten blocks: past two of the mode drivers' four-block groups.
 fn arb_blocks() -> impl Strategy<Value = Vec<u8>> {
-    collection::vec(any::<u8>(), 0..32).prop_map(|v| {
+    collection::vec(any::<u8>(), 0..80).prop_map(|v| {
         let mut v = v;
         v.resize(v.len().div_ceil(8) * 8, 0);
         v

@@ -37,7 +37,7 @@ pub const FORMAT_MACROS: &[&str] = &[
 /// wrapped in `fingerprint(...)` is the sanctioned redaction and is
 /// skipped).
 pub const TRACE_EMIT_CALLS: &[&str] =
-    &["emit", "note", "begin_span", "end_span", "counter", "gauge", "observe_us"];
+    &["emit", "emit_ref", "note", "begin_span", "end_span", "counter", "gauge", "observe_us"];
 
 /// Functions whose output is safe to bind even when their inputs are
 /// secret: the taint engine ([`crate::taint`]) skips their whole
@@ -79,6 +79,11 @@ pub fn is_len_ident(name: &str) -> bool {
 /// `note`, and span calls carry event kinds, not metric names, so they
 /// are S004's business, not E001's.
 pub const METRIC_EMIT_CALLS: &[&str] = &["counter", "gauge", "observe_us"];
+
+/// `Tracer::end_span` files a span's duration under `span.{name}`
+/// through this method, without formatting the name: E001 counts a call
+/// to it as emitting the registry's `span.{name}` row.
+pub const SPAN_METRIC: (&str, &str) = ("observe_span", "span.{name}");
 
 /// The DESIGN.md heading under which every metric name must be listed
 /// (E001). The section is a table whose first backtick-quoted cell per

@@ -16,7 +16,7 @@
 use crate::callgraph::Graph;
 use crate::config::{
     is_codec_fn, is_len_ident, is_test_path, DETERMINISTIC_CRATES, METRIC_EMIT_CALLS,
-    METRIC_REGISTRY_HEADING,
+    METRIC_REGISTRY_HEADING, SPAN_METRIC,
 };
 use crate::diag::{Finding, Rule};
 use crate::lexer::{is_keyword, lex, TokKind, Token};
@@ -171,6 +171,10 @@ fn check_e001(ctx: &TaintCtx<'_>, design: Option<(&str, &str)>, out: &mut Vec<Fi
     for (file, rel, _, _, f) in production_fns(ctx) {
         let (toks, sig) = ctx.toks_sig(file);
         for call in &f.calls {
+            if call.is_method && call.callee == SPAN_METRIC.0 {
+                emitted.insert(SPAN_METRIC.1.to_string());
+                continue;
+            }
             if !call.is_method || !METRIC_EMIT_CALLS.contains(&call.callee.as_str()) {
                 continue;
             }
@@ -283,5 +287,17 @@ mod tests {
         assert_eq!(e.len(), 2, "{f:#?}");
         assert!(e.iter().any(|x| x.message.contains("kdc.unlisted") && x.file.ends_with(".rs")));
         assert!(e.iter().any(|x| x.message.contains("kdc.orphaned") && x.file == "DESIGN.md"));
+    }
+
+    #[test]
+    fn e001_counts_a_span_close_as_its_histogram() {
+        let src = "fn end_span(&self) { c.metrics.observe_span(name, scope, dur_us); }";
+        let design = "# Design\n\n## Metric name registry\n\n| name | meaning |\n|---|---|\n\
+                      | `span.{name}` | span durations |\n\n## Next\n";
+        let f = run(
+            &[("crates/krb-trace/src/tracer.rs", "krb-trace", src)],
+            Some(("DESIGN.md", design)),
+        );
+        assert!(f.iter().all(|x| x.rule != Rule::E001), "{f:#?}");
     }
 }

@@ -2,7 +2,7 @@
 //! fingerprints (`kerberos::fingerprint`, an 8-hex-char digest prefix),
 //! and scopes are principal names, not secrets.
 
-use krb_trace::{EventKind, Tracer, Value};
+use krb_trace::{EventKind, Tracer, Value, ValueRef};
 
 pub fn record_issue(trace: &Tracer, now: u64, client: &str, session_key: &DesKey) {
     trace.emit(
@@ -14,4 +14,13 @@ pub fn record_issue(trace: &Tracer, now: u64, client: &str, session_key: &DesKey
         ],
     );
     trace.counter("kdc.issued", client, 1);
+}
+
+pub fn record_hop(trace: &Tracer, now: u64, host: &str, session_key: &DesKey) {
+    let key_fpr = fingerprint(session_key);
+    trace.emit_ref(
+        EventKind::WireHop,
+        now,
+        [("host", ValueRef::Str(host)), ("key_fpr", ValueRef::Str(&key_fpr))],
+    );
 }

@@ -29,6 +29,41 @@ impl Value {
     }
 }
 
+/// A field value borrowed from the caller: what
+/// [`crate::Tracer::emit_ref`] records without building owned strings.
+/// Bytes stay behind their `Arc`, so the owned [`Value`] a subscriber
+/// receives shares them.
+#[derive(Clone, Copy, Debug)]
+pub enum ValueRef<'a> {
+    U64(u64),
+    Bool(bool),
+    Str(&'a str),
+    Bytes(&'a Arc<Vec<u8>>),
+}
+
+impl ValueRef<'_> {
+    /// The owned value: copies a string, bumps a payload's refcount.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::U64(v) => Value::U64(v),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Str(s) => Value::Str(s.to_owned()),
+            ValueRef::Bytes(b) => Value::Bytes(Arc::clone(b)),
+        }
+    }
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::U64(v) => ValueRef::U64(*v),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bytes(b) => ValueRef::Bytes(b),
+        }
+    }
+}
+
 /// The closed set of event types the protocol stack emits.
 ///
 /// C-like so matching is total and `label()` gives the stable JSONL

@@ -31,7 +31,7 @@ pub mod narrate;
 mod ring;
 pub mod tracer;
 
-pub use event::{Event, EventKind, Value};
+pub use event::{Event, EventKind, Value, ValueRef};
 pub use jsonl::to_jsonl;
 pub use metrics::{render_metrics_table, MetricsSnapshot};
 pub use narrate::{narrate, Lens, RawLens};

@@ -1,11 +1,14 @@
 //! Deterministic metrics registry: counters, gauges, and sim-time
-//! histograms keyed by `(name, scope)`.
+//! histograms keyed by name, then scope.
 //!
 //! Scope is free-form — a host name, a principal, a protocol variant —
 //! so one registry covers "auths issued per principal" and "bytes on
-//! wire per host" alike.  Everything lives in `BTreeMap`s; a snapshot
-//! flattens to `name{scope}` keys in lexicographic order, so snapshots
-//! of identical runs compare byte-equal.
+//! wire per host" alike. Names are the `&'static str` literals of the
+//! emission sites, so a bump on an existing key only compares strings;
+//! a scope's `String` is copied once, on its first use under a name.
+//! Everything lives in `BTreeMap`s; a snapshot flattens to
+//! `name{scope}` keys in lexicographic order, so snapshots of identical
+//! runs compare byte-equal.
 
 use std::collections::BTreeMap;
 
@@ -22,47 +25,75 @@ struct Hist {
     max_us: u64,
 }
 
+impl Hist {
+    fn observe(&mut self, us: u64) {
+        self.count = self.count.saturating_add(1);
+        self.sum_us = self.sum_us.saturating_add(us);
+        self.max_us = self.max_us.max(us);
+    }
+}
+
+/// One metric kind's values, by name and then scope.
+type Table<K, T> = BTreeMap<K, BTreeMap<String, T>>;
+
+/// Applies `f` to the value at `name{scope}`, which starts at
+/// `T::default()`; allocates only for a scope new under `name`.
+fn update<K: Ord, T: Default>(table: &mut Table<K, T>, name: K, scope: &str, f: impl FnOnce(&mut T)) {
+    let scopes = table.entry(name).or_default();
+    match scopes.get_mut(scope) {
+        Some(v) => f(v),
+        None => {
+            let mut v = T::default();
+            f(&mut v);
+            scopes.insert(scope.to_owned(), v);
+        }
+    }
+}
+
 /// The registry. Owned by a tracer core; all mutation goes through the
 /// `Tracer` handle.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Metrics {
-    counters: BTreeMap<(String, String), u64>,
-    gauges: BTreeMap<(String, String), u64>,
-    hists: BTreeMap<(String, String), Hist>,
+    counters: Table<&'static str, u64>,
+    gauges: Table<&'static str, u64>,
+    /// Keyed by `(prefix, name)`: a span's duration histogram is
+    /// `("span.", span name)`, so closing a span formats nothing, and
+    /// every other histogram is `("", name)`. `span.` names are
+    /// `end_span`'s alone.
+    hists: Table<(&'static str, &'static str), Hist>,
 }
 
 impl Metrics {
-    pub(crate) fn add(&mut self, name: &str, scope: &str, delta: u64) {
-        let slot = self
-            .counters
-            .entry((name.to_string(), scope.to_string()))
-            .or_insert(0);
-        *slot = slot.saturating_add(delta);
+    pub(crate) fn add(&mut self, name: &'static str, scope: &str, delta: u64) {
+        update(&mut self.counters, name, scope, |v| *v = v.saturating_add(delta));
     }
 
-    pub(crate) fn set_gauge(&mut self, name: &str, scope: &str, v: u64) {
-        self.gauges.insert((name.to_string(), scope.to_string()), v);
+    pub(crate) fn set_gauge(&mut self, name: &'static str, scope: &str, v: u64) {
+        update(&mut self.gauges, name, scope, |g| *g = v);
     }
 
-    pub(crate) fn observe_us(&mut self, name: &str, scope: &str, us: u64) {
-        let h = self
-            .hists
-            .entry((name.to_string(), scope.to_string()))
-            .or_default();
-        h.count = h.count.saturating_add(1);
-        h.sum_us = h.sum_us.saturating_add(us);
-        h.max_us = h.max_us.max(us);
+    pub(crate) fn observe_us(&mut self, name: &'static str, scope: &str, us: u64) {
+        update(&mut self.hists, ("", name), scope, |h| h.observe(us));
+    }
+
+    /// Records a closed span's duration in the `span.{name}` histogram.
+    pub(crate) fn observe_span(&mut self, name: &'static str, scope: &str, us: u64) {
+        update(&mut self.hists, ("span.", name), scope, |h| h.observe(us));
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let mut out = MetricsSnapshot::new();
-        for ((name, scope), v) in self.counters.iter().chain(self.gauges.iter()) {
-            out.insert(format!("{name}{{{scope}}}"), *v);
+        for (name, scopes) in self.counters.iter().chain(self.gauges.iter()) {
+            for (scope, v) in scopes {
+                out.insert(format!("{name}{{{scope}}}"), *v);
+            }
         }
-        for ((name, scope), h) in &self.hists {
-            out.insert(format!("{name}{{{scope}}}.count"), h.count);
-            out.insert(format!("{name}{{{scope}}}.sum_us"), h.sum_us);
-            out.insert(format!("{name}{{{scope}}}.max_us"), h.max_us);
+        for ((prefix, name), scopes) in &self.hists {
+            for (scope, h) in scopes {
+                out.insert(format!("{prefix}{name}{{{scope}}}.count"), h.count);
+                out.insert(format!("{prefix}{name}{{{scope}}}.sum_us"), h.sum_us);
+                out.insert(format!("{prefix}{name}{{{scope}}}.max_us"), h.max_us);
+            }
         }
         out
     }

@@ -4,9 +4,10 @@
 //! A decoded [`Event`] owns up to a dozen heap blocks (the field `Vec`,
 //! one `String` per string field, the payload's `Arc`), and a full ring
 //! holds 2^20 events. A record keeps the same content in one contiguous
-//! run of bytes, at about a third of the size, so `push` copies the
-//! event in and drops it, eviction advances the head past one record,
-//! and only [`Ring::events`] builds `Event`s again.
+//! run of bytes, at about a third of the size. `push` encodes borrowed
+//! fields straight into it, so recording an event needs no owned
+//! `Event` at all; eviction advances the head past one record, and only
+//! [`Ring::events`] builds `Event`s again.
 //!
 //! Record layout (every integer is an unsigned LEB128 varint):
 //!
@@ -23,7 +24,7 @@
 //! [`EventKind`] discriminant; `name` indexes the ring's table of field
 //! names, interned in first-use order, so equal runs encode equal bytes.
 
-use crate::event::{Event, EventKind, Value};
+use crate::event::{Event, EventKind, Value, ValueRef};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -66,48 +67,51 @@ impl Ring {
         self.bytes.len()
     }
 
-    /// Appends `ev` as one record.
-    pub(crate) fn push(&mut self, ev: &Event) {
+    /// Appends one record: the event `seq` at `at_us` in `span`, with
+    /// `fields` in order.
+    pub(crate) fn push<'v>(
+        &mut self,
+        seq: u64,
+        at_us: u64,
+        span: u64,
+        kind: EventKind,
+        fields: impl Iterator<Item = (&'static str, ValueRef<'v>)> + Clone,
+    ) {
         let mut rec = std::mem::take(&mut self.scratch);
         rec.clear();
-        self.encode_record(ev, &mut rec);
+        put_varint(&mut rec, seq);
+        put_varint(&mut rec, at_us);
+        put_varint(&mut rec, span);
+        rec.push(kind as u8);
+        put_varint(&mut rec, fields.clone().count() as u64);
+        for (name, value) in fields {
+            let idx = self.intern(name);
+            put_varint(&mut rec, idx);
+            match value {
+                ValueRef::U64(v) => {
+                    rec.push(TAG_U64);
+                    put_varint(&mut rec, v);
+                }
+                ValueRef::Bool(b) => {
+                    rec.push(TAG_BOOL);
+                    rec.push(u8::from(b));
+                }
+                ValueRef::Str(s) => {
+                    rec.push(TAG_STR);
+                    put_varint(&mut rec, s.len() as u64);
+                    rec.extend_from_slice(s.as_bytes());
+                }
+                ValueRef::Bytes(b) => {
+                    rec.push(TAG_BYTES);
+                    put_varint(&mut rec, b.len() as u64);
+                    rec.extend_from_slice(b);
+                }
+            }
+        }
         put_varint(&mut self.bytes, rec.len() as u64);
         self.bytes.extend(&rec);
         self.scratch = rec;
         self.records += 1;
-    }
-
-    /// Writes the record body (everything after the length prefix).
-    fn encode_record(&mut self, ev: &Event, out: &mut Vec<u8>) {
-        put_varint(out, ev.seq);
-        put_varint(out, ev.at_us);
-        put_varint(out, ev.span);
-        out.push(ev.kind as u8);
-        put_varint(out, ev.fields.len() as u64);
-        for (name, value) in &ev.fields {
-            let idx = self.intern(name);
-            put_varint(out, idx);
-            match value {
-                Value::U64(v) => {
-                    out.push(TAG_U64);
-                    put_varint(out, *v);
-                }
-                Value::Bool(b) => {
-                    out.push(TAG_BOOL);
-                    out.push(u8::from(*b));
-                }
-                Value::Str(s) => {
-                    out.push(TAG_STR);
-                    put_varint(out, s.len() as u64);
-                    out.extend_from_slice(s.as_bytes());
-                }
-                Value::Bytes(b) => {
-                    out.push(TAG_BYTES);
-                    put_varint(out, b.len() as u64);
-                    out.extend_from_slice(b);
-                }
-            }
-        }
     }
 
     /// The name table index of `name`, assigning the next one on first

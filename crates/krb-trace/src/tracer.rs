@@ -13,7 +13,7 @@
 //! instrumented and uninstrumented runs are byte-identical — the E1
 //! golden matrix proves it.
 
-use crate::event::{Event, EventKind, Value};
+use crate::event::{Event, EventKind, Value, ValueRef};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::ring::Ring;
 use std::collections::{BTreeMap, VecDeque};
@@ -67,12 +67,30 @@ impl Default for Core {
 }
 
 impl Core {
-    fn push(&mut self, ev: Event) {
+    /// Records the next event in `span`: subscribers get an owned copy
+    /// (built only when one exists), and the ring encodes the borrowed
+    /// fields. Returns its sequence number.
+    fn push<'v>(
+        &mut self,
+        at_us: u64,
+        span: SpanId,
+        kind: EventKind,
+        fields: impl Iterator<Item = (&'static str, ValueRef<'v>)> + Clone,
+    ) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         for buf in self.subs.values_mut() {
-            buf.push_back(ev.clone());
+            let fields = fields.clone().map(|(name, v)| (name, v.to_value())).collect();
+            buf.push_back(Event { seq, at_us, span, kind, fields });
         }
         self.evict_to(self.capacity.saturating_sub(1));
-        self.ring.push(&ev);
+        self.ring.push(seq, at_us, span, kind, fields);
+        seq
+    }
+
+    /// The innermost open span, the parent of new events and spans.
+    fn current_span(&self) -> SpanId {
+        self.stack.last().copied().unwrap_or(0)
     }
 
     /// Evicts oldest-first until at most `keep` events remain.
@@ -156,16 +174,27 @@ impl Tracer {
     /// later events, e.g. a fault-duplicated datagram).
     pub fn emit(&self, kind: EventKind, at_us: u64, fields: Vec<(&'static str, Value)>) -> u64 {
         let mut c = self.core();
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        let span = c.stack.last().copied().unwrap_or(0);
-        c.push(Event { seq, at_us, span, kind, fields });
-        seq
+        let span = c.current_span();
+        c.push(at_us, span, kind, fields.iter().map(|(name, v)| (*name, ValueRef::from(v))))
+    }
+
+    /// [`Tracer::emit`] over borrowed fields, in order: the ring
+    /// encodes them in place, so a call allocates nothing unless a
+    /// subscriber needs its owned copy. The recorded event is the one
+    /// `emit` records for the same fields.
+    pub fn emit_ref<'v, I>(&self, kind: EventKind, at_us: u64, fields: I) -> u64
+    where
+        I: IntoIterator<Item = (&'static str, ValueRef<'v>)>,
+        I::IntoIter: Clone,
+    {
+        let mut c = self.core();
+        let span = c.current_span();
+        c.push(at_us, span, kind, fields.into_iter())
     }
 
     /// Free-form annotation (adversary actions, scenario markers).
     pub fn note(&self, at_us: u64, text: &str) -> u64 {
-        self.emit(EventKind::Note, at_us, vec![("text", Value::str(text))])
+        self.emit_ref(EventKind::Note, at_us, [("text", ValueRef::Str(text))])
     }
 
     /// Opens a span: emits `span.begin`, pushes it on the stack so
@@ -174,19 +203,17 @@ impl Tracer {
         &self,
         name: &'static str,
         at_us: u64,
-        mut fields: Vec<(&'static str, Value)>,
+        fields: Vec<(&'static str, Value)>,
     ) -> SpanId {
         let mut c = self.core();
         let id = c.next_span;
         c.next_span += 1;
-        let parent = c.stack.last().copied().unwrap_or(0);
+        let parent = c.current_span();
         c.open.insert(id, (name, at_us));
         c.stack.push(id);
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        let mut all = vec![("name", Value::str(name)), ("parent", Value::U64(parent))];
-        all.append(&mut fields);
-        c.push(Event { seq, at_us, span: id, kind: EventKind::SpanBegin, fields: all });
+        let head = [("name", ValueRef::Str(name)), ("parent", ValueRef::U64(parent))];
+        let rest = fields.iter().map(|(name, v)| (*name, ValueRef::from(v)));
+        c.push(at_us, id, EventKind::SpanBegin, head.into_iter().chain(rest));
         id
     }
 
@@ -200,30 +227,24 @@ impl Tracer {
         };
         c.stack.retain(|&s| s != id);
         let dur_us = at_us.saturating_sub(begin_us);
-        c.metrics.observe_us(&format!("span.{name}"), scope, dur_us);
-        let seq = c.next_seq;
-        c.next_seq += 1;
-        c.push(Event {
-            seq,
-            at_us,
-            span: id,
-            kind: EventKind::SpanEnd,
-            fields: vec![("name", Value::str(name)), ("dur_us", Value::U64(dur_us))],
-        });
+        c.metrics.observe_span(name, scope, dur_us);
+        let fields = [("name", ValueRef::Str(name)), ("dur_us", ValueRef::U64(dur_us))];
+        c.push(at_us, id, EventKind::SpanEnd, fields.into_iter());
     }
 
     /// Increments counter `name{scope}` by `delta`.
-    pub fn counter(&self, name: &str, scope: &str, delta: u64) {
+    pub fn counter(&self, name: &'static str, scope: &str, delta: u64) {
         self.core().metrics.add(name, scope, delta);
     }
 
     /// Sets gauge `name{scope}` to `v`.
-    pub fn gauge(&self, name: &str, scope: &str, v: u64) {
+    pub fn gauge(&self, name: &'static str, scope: &str, v: u64) {
         self.core().metrics.set_gauge(name, scope, v);
     }
 
-    /// Records a sim-time sample into histogram `name{scope}`.
-    pub fn observe_us(&self, name: &str, scope: &str, us: u64) {
+    /// Records a sim-time sample into histogram `name{scope}`. Names
+    /// under `span.` belong to [`Tracer::end_span`].
+    pub fn observe_us(&self, name: &'static str, scope: &str, us: u64) {
         self.core().metrics.observe_us(name, scope, us);
     }
 
@@ -313,6 +334,29 @@ mod tests {
         assert_eq!(s["span.as-exchange{pat}.count"], 1);
         assert_eq!(s["span.as-exchange{pat}.sum_us"], 1_000);
         assert_eq!(s["span.crypto{pat}.sum_us"], 100);
+    }
+
+    #[test]
+    fn emit_ref_records_what_emit_records() {
+        let payload = Arc::new(vec![7u8; 12]);
+        let owned = vec![
+            ("host", Value::str("kdc")),
+            ("port", Value::U64(88)),
+            ("req", Value::Bool(true)),
+            ("payload", Value::bytes(Arc::clone(&payload))),
+        ];
+        let borrowed: Vec<_> = owned.iter().map(|(n, v)| (*n, ValueRef::from(v))).collect();
+        let (a, b) = (Tracer::new(), Tracer::new());
+        let (sub_a, sub_b) = (a.subscribe(), b.subscribe());
+        a.emit(EventKind::WireHop, 5, owned.clone());
+        b.emit_ref(EventKind::WireHop, 5, borrowed.iter().copied());
+        assert_eq!(a.events(), b.events());
+        assert_eq!(a.ring_bytes(), b.ring_bytes());
+        let (seen_a, seen_b) = (sub_a.drain(), sub_b.drain());
+        assert_eq!(seen_a, seen_b);
+        // The subscriber's copy shares the payload rather than copying it.
+        let shared = seen_b[0].bytes_field("payload").map(|p| Arc::ptr_eq(p, &payload));
+        assert_eq!(shared, Some(true));
     }
 
     #[test]

@@ -20,7 +20,8 @@ use crate::adversary::{Tap, Verdict};
 use crate::clock::{SimDuration, SimTime};
 use crate::fault::{FaultDecision, FaultKind, FaultPlan};
 use crate::host::{Host, HostId, ServiceCtx};
-use krb_trace::{EventKind, Tracer, Value};
+use krb_trace::{EventKind, Tracer, Value, ValueRef};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -67,12 +68,13 @@ impl Endpoint {
 
 /// A datagram payload: shared, cheaply cloneable bytes.
 ///
-/// The delivery path clones every datagram at least once (into the
-/// traffic log) and faulted runs clone again for duplicates, reorders,
-/// and late replies. Sharing the buffer turns all of those bookkeeping
-/// clones into reference-count bumps; bytes are copied only when a
-/// holder actually mutates (copy-on-write via [`Arc::make_mut`]) or
-/// explicitly exports with [`Payload::to_vec`].
+/// Trace subscribers hold every datagram's bytes, and faulted runs
+/// clone datagrams for duplicates, reorders, and late replies. Sharing
+/// the buffer turns all of those bookkeeping clones into reference-count
+/// bumps; bytes are copied only when a holder actually mutates
+/// (copy-on-write via [`Arc::make_mut`]) or explicitly exports with
+/// [`Payload::to_vec`]. The network hands a delivered reply back
+/// without a copy when nothing else holds it.
 ///
 /// Derefs to `[u8]` both ways, so reads (`.first()`, slicing,
 /// `.starts_with`) and in-place edits (`p[i] ^= x`, `p.swap(a, b)`)
@@ -91,18 +93,19 @@ impl Payload {
         self.0.as_ref().clone()
     }
 
+    /// Takes the bytes out: the buffer itself when no one else holds
+    /// it, else a copy.
+    pub(crate) fn into_vec(self) -> Vec<u8> {
+        Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.as_ref().clone())
+    }
+
     /// Borrows the bytes.
     pub fn as_slice(&self) -> &[u8] {
         &self.0
     }
 
-    /// The shared buffer itself (a refcount bump) — how the trace
-    /// records payloads without copying them.
-    pub fn shared(&self) -> Arc<Vec<u8>> {
-        Arc::clone(&self.0)
-    }
-
-    /// Rewraps a shared buffer (the inverse of [`Payload::shared`]).
+    /// Wraps a shared buffer without copying it: how the traffic log
+    /// rebuilds a datagram from a trace event's payload.
     pub fn from_shared(bytes: Arc<Vec<u8>>) -> Self {
         Payload(bytes)
     }
@@ -432,10 +435,21 @@ impl Network {
         self.log_from_seq = self.tracer.next_seq();
     }
 
+    /// The name of the host owning `a`; an address no host owns (a
+    /// spoofed or external source) is named `external(a)`.
+    fn host_name(&self, a: Addr) -> Cow<'_, str> {
+        match self.addr_map.get(&a) {
+            Some(id) => Cow::Borrowed(&self.hosts[id.0].name),
+            None => Cow::Owned(format!("external({a})")),
+        }
+    }
+
     /// Records one wire hop as a trace event and bumps the per-host
     /// datagram/byte counters; returns the event's sequence number for
-    /// causal linking. Purely observational — consumes no randomness,
-    /// advances no clock.
+    /// causal linking. Host names, labels and the shared payload are
+    /// recorded by reference, so a hop between known hosts allocates
+    /// nothing. Purely observational — consumes no randomness, advances
+    /// no clock.
     fn wire_event(
         &self,
         dgram: &Datagram,
@@ -444,41 +458,28 @@ impl Network {
         origin: &'static str,
         parent: Option<u64>,
     ) -> u64 {
-        let host_name = |a: Addr| -> String {
-            match self.addr_map.get(&a) {
-                Some(id) => self.hosts[id.0].name.clone(),
-                None => format!("external({a})"),
-            }
-        };
-        let dst_host = host_name(dgram.dst.addr);
-        // Sized exactly: every hop's fields stay in the trace ring, and
-        // a `vec!` of the eight fixed fields would reallocate to 16 on
-        // the first push. Field order is the JSONL order.
-        let extra = usize::from(fault.is_some()) + usize::from(parent.is_some());
-        let mut fields = Vec::with_capacity(9 + extra);
-        fields.extend([
-            ("src_host", Value::str(host_name(dgram.src.addr))),
-            ("src_addr", Value::U64(dgram.src.addr.0 as u64)),
-            ("src_port", Value::U64(dgram.src.port as u64)),
-            ("dst_host", Value::str(dst_host.clone())),
-            ("dst_addr", Value::U64(dgram.dst.addr.0 as u64)),
-            ("dst_port", Value::U64(dgram.dst.port as u64)),
-            ("req", Value::Bool(is_request)),
-            ("origin", Value::str(origin)),
-        ]);
-        if let Some(k) = fault {
-            fields.push(("fault", Value::str(k.label())));
-        }
-        if let Some(p) = parent {
-            fields.push(("parent", Value::U64(p)));
-        }
-        fields.push(("payload", Value::bytes(dgram.payload.shared())));
+        let (src_host, dst_host) = (self.host_name(dgram.src.addr), self.host_name(dgram.dst.addr));
         self.tracer.counter("net.datagrams", &dst_host, 1);
         self.tracer.counter("net.bytes", &dst_host, dgram.payload.len() as u64);
         if let Some(k) = fault {
             self.tracer.counter("net.faults", k.label(), 1);
         }
-        self.tracer.emit(EventKind::WireHop, self.true_time.0, fields)
+        // Field order is the JSONL order; `fault` and `parent` appear
+        // only when set.
+        let fields = [
+            Some(("src_host", ValueRef::Str(&src_host))),
+            Some(("src_addr", ValueRef::U64(u64::from(dgram.src.addr.0)))),
+            Some(("src_port", ValueRef::U64(u64::from(dgram.src.port)))),
+            Some(("dst_host", ValueRef::Str(&dst_host))),
+            Some(("dst_addr", ValueRef::U64(u64::from(dgram.dst.addr.0)))),
+            Some(("dst_port", ValueRef::U64(u64::from(dgram.dst.port)))),
+            Some(("req", ValueRef::Bool(is_request))),
+            Some(("origin", ValueRef::Str(origin))),
+            fault.map(|k| ("fault", ValueRef::Str(k.label()))),
+            parent.map(|p| ("parent", ValueRef::U64(p))),
+            Some(("payload", ValueRef::Bytes(&dgram.payload.0))),
+        ];
+        self.tracer.emit_ref(EventKind::WireHop, self.true_time.0, fields.into_iter().flatten())
     }
 
     /// Sends `payload` from `from` to `to` and waits for the (single)
@@ -531,7 +532,7 @@ impl Network {
                 // The awaited reply arrived: older duplicates still in
                 // flight stay queued (the caller reads until it sees a
                 // matching reply, discarding strays).
-                Ok(d.payload.to_vec())
+                Ok(d.payload.into_vec())
             }
             outcome @ (LegOutcome::Lost | LegOutcome::Held) => {
                 // The fresh reply went missing. If an older reply from
@@ -543,7 +544,7 @@ impl Network {
                     if self.fault.is_some() { self.pop_due_stale_reply(from, to) } else { None }
                 {
                     self.wire_event(&s.dgram, false, Some(s.kind), "stale", Some(s.parent));
-                    return Ok(s.dgram.payload.to_vec());
+                    return Ok(s.dgram.payload.into_vec());
                 }
                 match outcome {
                     LegOutcome::Lost => Err(NetError::ReplyLost),
@@ -580,7 +581,7 @@ impl Network {
         if let Some(r) = &reply {
             self.wire_event(r, false, None, "send", Some(seq));
         }
-        Ok(reply.map(|d| d.payload.to_vec()))
+        Ok(reply.map(|d| d.payload.into_vec()))
     }
 
     /// Delivers every held datagram that has come due: duplicate and
@@ -839,7 +840,7 @@ impl Network {
         // should show.
         upstream_reply.dst = via;
         match self.transit(upstream_reply, false, true) {
-            LegOutcome::Delivered(d, _) => Ok(d.payload.to_vec()),
+            LegOutcome::Delivered(d, _) => Ok(d.payload.into_vec()),
             LegOutcome::Lost => Err(NetError::ReplyLost),
             LegOutcome::Held => Err(NetError::TimedOut),
         }

@@ -6,8 +6,9 @@
 //! block, an enc-layer seal and open, a string-to-key and a dictionary
 //! crack of a recorded AS reply, every message codec, a login, TGS,
 //! AP and KRB_PRIV exchange per preset, a simnet round trip, a trace
-//! emit, an IDS poll and a gateway admission. Callees count too, which a
-//! lint over named function bodies cannot see.
+//! emit from owned and from borrowed fields, a counter bump, a span end,
+//! an IDS poll and a gateway admission. Callees count too, which a lint
+//! over named function bodies cannot see.
 //!
 //! The counts are a function of the operation alone: the same numbers
 //! hold under `cargo test` and `cargo test --release`, and a second
@@ -40,7 +41,7 @@ use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::Drbg;
 use krb_crypto::s2k;
 use krb_gateway::GatewayConfig;
-use krb_trace::{Event, EventKind, Tracer, Value};
+use krb_trace::{Event, EventKind, Tracer, Value, ValueRef};
 use simnet::{Addr, Endpoint, Host, Network, Service, ServiceCtx, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -411,12 +412,12 @@ fn session_counts(config: &ProtocolConfig, sessions: usize) -> Vec<[u64; 4]> {
 /// `[login, TGS exchange, AP exchange, KRB_PRIV round trip]` per preset:
 /// the fewest allocations any measured session made for that exchange.
 /// The other sessions add the odd amortised allocation of a
-/// growing log or map (the app server's auth log doubling, a B-tree
-/// split), which lands on different sessions as the tree changes.
+/// growing buffer or map (a B-tree split, a ring buffer's growth),
+/// which lands on different sessions as the tree changes.
 const SESSION: Table = &[
-    ("v4", &[101, 128, 90, 33]),
-    ("v5_draft3", &[105, 133, 94, 45]),
-    ("hardened", &[279, 161, 132, 54]),
+    ("v4", &[65, 92, 56, 14]),
+    ("v5_draft3", &[69, 97, 60, 26]),
+    ("hardened", &[222, 125, 79, 35]),
 ];
 
 #[test]
@@ -470,10 +471,13 @@ fn hop_fields(payload: &Arc<Vec<u8>>) -> Vec<(&'static str, Value)> {
 
 /// One call of each operation, on a warmed instance.
 const SERVICES: Table = &[
-    ("simnet rpc, 16 B echo", &[23]),
+    ("simnet rpc, 16 B echo", &[4]),
     ("trace emit, full ring", &[0]),
+    ("trace emit_ref, full ring", &[0]),
+    ("counter bump, existing key", &[0]),
+    ("span end, known name", &[0]),
     ("ids poll, one campus session", &[158]),
-    ("gateway admission, AS-REQ", &[14]),
+    ("gateway admission, AS-REQ", &[8]),
 ];
 
 #[test]
@@ -508,6 +512,27 @@ fn services_budget() {
     let fields = hop_fields(&payload);
     let (n, _) = allocs(|| tracer.emit(EventKind::WireHop, 0, fields));
     actual.push(("trace emit, full ring", vec![n]));
+
+    // The same event from borrowed fields, as a wire hop records it.
+    let fields = hop_fields(&payload);
+    let (n, _) = allocs(|| {
+        tracer.emit_ref(EventKind::WireHop, 0, fields.iter().map(|(k, v)| (*k, ValueRef::from(v))))
+    });
+    actual.push(("trace emit_ref, full ring", vec![n]));
+
+    // A bump of a counter that already exists: the registry compares
+    // the name and scope and copies neither.
+    tracer.counter("net.datagrams", "kerberos.ATHENA.MIT.EDU", 1);
+    let (n, ()) = allocs(|| tracer.counter("net.datagrams", "kerberos.ATHENA.MIT.EDU", 1));
+    actual.push(("counter bump, existing key", vec![n]));
+
+    // Closing a span whose duration histogram already exists, into the
+    // full ring.
+    let span = tracer.begin_span("as-exchange", 0, Vec::new());
+    tracer.end_span(span, 5, "pat");
+    let span = tracer.begin_span("as-exchange", 10, Vec::new());
+    let (n, ()) = allocs(|| tracer.end_span(span, 15, "pat"));
+    actual.push(("span end, known name", vec![n]));
 
     // One default-engine IDS poll over a captured v5_draft3 session.
     let mut campus = Campus::new(&ProtocolConfig::v5_draft3());

@@ -496,13 +496,11 @@ pub fn connect_app(
     };
 
     let trace = net.tracer();
+    let (client_name, service_name) = (cred.client.to_string(), cred.service.to_string());
     let span = trace.begin_span(
         "ap-exchange",
         net.now().0,
-        vec![
-            ("client", Value::str(cred.client.to_string())),
-            ("service", Value::str(cred.service.to_string())),
-        ],
+        [("client", ValueRef::Str(&client_name)), ("service", ValueRef::Str(&service_name))],
     );
     let result = retry::run(net, &config.retry, client_seq, |net, _attempt| {
         let now = client_local_time_us(net, client_ep)?;

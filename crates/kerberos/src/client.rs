@@ -17,7 +17,7 @@ use krb_crypto::des::{DesKey, ScheduledKey};
 use krb_crypto::dh::DhGroup;
 use krb_crypto::rng::RandomSource;
 use krb_crypto::s2k;
-use krb_trace::{EventKind, Value, ValueRef};
+use krb_trace::{EventKind, ValueRef};
 use simnet::{Endpoint, Network, SimDuration};
 
 /// How the user authenticates at login.
@@ -122,11 +122,9 @@ pub fn login_at(
     let mut policy = config.retry;
     policy.attempts = policy.attempts.saturating_mul(kdcs.len() as u32);
     let trace = net.tracer();
-    let span = trace.begin_span(
-        "as-exchange",
-        net.now().0,
-        vec![("client", Value::str(client.to_string()))],
-    );
+    let client_name = client.to_string();
+    let span =
+        trace.begin_span("as-exchange", net.now().0, [("client", ValueRef::Str(&client_name))]);
     let result = retry::run(net, &policy, nonce, |net, attempt| {
         let kdc_ep = kdcs[attempt as usize % kdcs.len()];
         let mut padata = Vec::new();
@@ -324,13 +322,11 @@ pub fn get_service_ticket_at(
     let tgt_key = ScheduledKey::new(tgt.session_key);
 
     let trace = net.tracer();
+    let (client_name, service_name) = (tgt.client.to_string(), service.to_string());
     let span = trace.begin_span(
         "tgs-exchange",
         net.now().0,
-        vec![
-            ("client", Value::str(tgt.client.to_string())),
-            ("service", Value::str(service.to_string())),
-        ],
+        [("client", ValueRef::Str(&client_name)), ("service", ValueRef::Str(&service_name))],
     );
     let result = retry::run(net, &policy, nonce, |net, attempt| {
         let kdc_ep = kdcs[attempt as usize % kdcs.len()];

@@ -18,7 +18,7 @@ use crate::config::ProtocolConfig;
 use crate::error::KrbError;
 use crate::principal::Principal;
 use krb_crypto::rng::RandomSource;
-use krb_trace::Value;
+use krb_trace::ValueRef;
 use simnet::{Endpoint, Network};
 use std::collections::BTreeMap;
 
@@ -90,13 +90,15 @@ pub fn cross_realm_ticket(
     let path = topo.path(&home, &service.realm)?;
 
     let trace = net.tracer();
+    let (client_name, service_name) = (home_tgt.client.to_string(), service.to_string());
+    let path_text = path.join(" -> ");
     let span = trace.begin_span(
         "cross-realm",
         net.now().0,
-        vec![
-            ("client", Value::str(home_tgt.client.to_string())),
-            ("service", Value::str(service.to_string())),
-            ("path", Value::str(path.join(" -> "))),
+        [
+            ("client", ValueRef::Str(&client_name)),
+            ("service", ValueRef::Str(&service_name)),
+            ("path", ValueRef::Str(&path_text)),
         ],
     );
 

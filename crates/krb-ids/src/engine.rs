@@ -20,13 +20,16 @@
 //! of detectors, into integer endpoints; `ip:port` strings are rendered
 //! only for an alert or an exact address matcher. The cut-paste window
 //! kernel (`index_windows`) makes one pass per message and allocates
-//! nothing per window.
+//! nothing per window; its index is hashed, since it is only probed.
 
 use crate::compile::{DetectorBody, DetectorSpec, Per};
 use crate::rules::{Match, MsgKind};
 use krb_trace::{Event, EventKind, Subscription, Tracer, Value};
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
+use std::collections::hash_map;
+#[expect(clippy::disallowed_types, reason = "probe-only: never iterated")]
+use std::collections::HashMap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -162,17 +165,24 @@ enum WinOrigin {
     Request { seq: u64, dst_port: u16, src: Endpoint },
 }
 
+/// The cut-paste index: 16-byte window, read as an integer -> first
+/// origin (first-source-wins). It is only probed through `entry` and
+/// never iterated, so its order cannot reach an alert; the default
+/// `RandomState` keys it per process, so wire bytes cannot be crafted
+/// to collide.
+#[expect(clippy::disallowed_types, reason = "probe-only: never iterated")]
+type WindowIndex = HashMap<u128, WinOrigin>;
+
 /// A sliding preauth-storm window: event times, and the alerted latch.
 type Burst = (VecDeque<u64>, bool);
 
 /// Per-detector mutable state.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct DetectorState {
     /// replay / crash-reuse: (src, dst, payload-id) -> first-seen time.
     first_sight: BTreeMap<(Endpoint, Endpoint, u64, u64), u64>,
-    /// cut-paste: 16-byte window, read as an integer -> first origin
-    /// (first-source-wins).
-    windows: BTreeMap<u128, WinOrigin>,
+    /// cut-paste: the window index.
+    windows: WindowIndex,
     /// cut-paste: full-payload ids seen anywhere, any direction.
     payloads_seen: BTreeSet<(u64, u64)>,
     /// cut-paste: (dst, payload-id) -> first source endpoint.
@@ -183,6 +193,22 @@ struct DetectorState {
     principal_storm: BTreeMap<String, Burst>,
     /// crash-reuse: host name -> last restart time.
     restarts: BTreeMap<String, u64>,
+}
+
+// The window index prints as its size: iterating it would print in a
+// per-process order.
+impl fmt::Debug for DetectorState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DetectorState")
+            .field("first_sight", &self.first_sight)
+            .field("windows", &self.windows.len())
+            .field("payloads_seen", &self.payloads_seen)
+            .field("stream_first", &self.stream_first)
+            .field("src_storm", &self.src_storm)
+            .field("principal_storm", &self.principal_storm)
+            .field("restarts", &self.restarts)
+            .finish()
+    }
 }
 
 #[derive(Debug)]
@@ -588,10 +614,10 @@ impl Distinct {
 /// seq into `reply_sources`, a foreign, splice-sensitive request
 /// origin's window into `stolen_counts`. A window repeated inside the
 /// same request resolves to that request's own source and is ignored,
-/// as a scan ahead of indexing would ignore it. Nothing is allocated
-/// per window beyond the index's own node growth.
+/// as a scan ahead of indexing would ignore it. The index reserves the
+/// message's window count up front, so nothing is allocated per window.
 fn index_windows(
-    windows: &mut BTreeMap<u128, WinOrigin>,
+    windows: &mut WindowIndex,
     payload: &[u8],
     origin: WinOrigin,
     krb_ports: &[u16],
@@ -599,6 +625,7 @@ fn index_windows(
     stolen_counts: &mut BTreeMap<u64, usize>,
 ) {
     let Some(head) = payload.get(..15) else { return };
+    windows.reserve(payload.len() - 15);
     let mut live = Distinct { counts: [0; 256], n: 0 };
     for &b in head {
         live.enter(b);
@@ -608,10 +635,10 @@ fn index_windows(
         if live.n >= 4 {
             let Ok(arr) = <[u8; 16]>::try_from(win) else { continue };
             match windows.entry(u128::from_le_bytes(arr)) {
-                Entry::Vacant(slot) => {
+                hash_map::Entry::Vacant(slot) => {
                     slot.insert(origin);
                 }
-                Entry::Occupied(seen) => {
+                hash_map::Entry::Occupied(seen) => {
                     if let WinOrigin::Request { src: me, .. } = origin {
                         match *seen.get() {
                             WinOrigin::Reply { seq } => {

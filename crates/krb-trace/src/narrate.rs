@@ -142,6 +142,7 @@ fn fmt_rel(us: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ValueRef;
     use crate::tracer::Tracer;
     use std::sync::Arc;
 
@@ -180,7 +181,7 @@ mod tests {
     #[test]
     fn spans_and_misc_events_render() {
         let t = Tracer::new();
-        let id = t.begin_span("as-exchange", 0, vec![("client", Value::str("pat"))]);
+        let id = t.begin_span("as-exchange", 0, [("client", ValueRef::Str("pat"))]);
         t.emit(
             EventKind::TicketIssued,
             500,

@@ -197,14 +197,15 @@ impl Tracer {
         self.emit_ref(EventKind::Note, at_us, [("text", ValueRef::Str(text))])
     }
 
-    /// Opens a span: emits `span.begin`, pushes it on the stack so
-    /// subsequent events (and child spans) attach to it.
-    pub fn begin_span(
-        &self,
-        name: &'static str,
-        at_us: u64,
-        fields: Vec<(&'static str, Value)>,
-    ) -> SpanId {
+    /// Opens a span: emits `span.begin` with `name`, `parent` and the
+    /// borrowed `fields` (as [`Tracer::emit_ref`] takes them), and pushes
+    /// it on the stack so subsequent events (and child spans) attach to
+    /// it.
+    pub fn begin_span<'v, I>(&self, name: &'static str, at_us: u64, fields: I) -> SpanId
+    where
+        I: IntoIterator<Item = (&'static str, ValueRef<'v>)>,
+        I::IntoIter: Clone,
+    {
         let mut c = self.core();
         let id = c.next_span;
         c.next_span += 1;
@@ -212,8 +213,7 @@ impl Tracer {
         c.open.insert(id, (name, at_us));
         c.stack.push(id);
         let head = [("name", ValueRef::Str(name)), ("parent", ValueRef::U64(parent))];
-        let rest = fields.iter().map(|(name, v)| (*name, ValueRef::from(v)));
-        c.push(at_us, id, EventKind::SpanBegin, head.into_iter().chain(rest));
+        c.push(at_us, id, EventKind::SpanBegin, head.into_iter().chain(fields));
         id
     }
 
@@ -317,9 +317,9 @@ mod tests {
     #[test]
     fn spans_nest_and_time() {
         let t = Tracer::new();
-        let outer = t.begin_span("as-exchange", 1_000, vec![("client", Value::str("pat"))]);
+        let outer = t.begin_span("as-exchange", 1_000, [("client", ValueRef::Str("pat"))]);
         t.emit(EventKind::TicketIssued, 1_500, vec![]);
-        let inner = t.begin_span("crypto", 1_600, vec![]);
+        let inner = t.begin_span("crypto", 1_600, []);
         t.end_span(inner, 1_700, "pat");
         t.end_span(outer, 2_000, "pat");
 
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn end_span_is_idempotent() {
         let t = Tracer::new();
-        let id = t.begin_span("x", 0, vec![]);
+        let id = t.begin_span("x", 0, []);
         t.end_span(id, 10, "s");
         t.end_span(id, 20, "s");
         assert_eq!(t.events().len(), 2);

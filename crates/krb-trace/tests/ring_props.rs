@@ -6,7 +6,7 @@
 //! the name cache holds, capacities small enough to evict and wrap the
 //! buffer on most steps, `set_capacity` shrinks and `clear`.
 
-use krb_trace::{to_jsonl, Event, EventKind, Tracer, Value};
+use krb_trace::{to_jsonl, Event, EventKind, Tracer, Value, ValueRef};
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use testkit::prop::{any, collection, Just, Strategy};
@@ -193,7 +193,9 @@ testkit::prop! {
                 }
                 Op::Begin { name, at_us, fields } => {
                     let name = names()[*name];
-                    let id = t.begin_span(name, *at_us, built(fields));
+                    let owned = built(fields);
+                    let borrowed = owned.iter().map(|(n, v)| (*n, ValueRef::from(v)));
+                    let id = t.begin_span(name, *at_us, borrowed);
                     prop_assert_eq!(id, m.next_span);
                     m.next_span += 1;
                     let mut all = vec![("name", Value::str(name)), ("parent", Value::U64(span))];

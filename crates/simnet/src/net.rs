@@ -587,27 +587,15 @@ impl Network {
     /// Delivers every held datagram that has come due: duplicate and
     /// reordered requests reach their destination (late side effects);
     /// the replies they provoke go into flight as late replies. Held
-    /// datagrams past their TTL are discarded.
+    /// datagrams past their TTL are discarded. The queue is filtered in
+    /// place, so a pump with nothing due moves and allocates nothing.
     pub fn pump(&mut self) {
-        if self.stale.is_empty() {
-            return;
-        }
         let now = self.true_time;
-        let mut keep = Vec::new();
-        let mut due_requests = Vec::new();
-        for s in std::mem::take(&mut self.stale) {
-            if now.0 > s.due.0 + STALE_TTL_US {
-                continue; // expired in flight
-            }
-            if s.is_request && s.due <= now {
-                due_requests.push(s);
-            } else {
-                keep.push(s);
-            }
-        }
+        self.stale.retain(|s| now.0 <= s.due.0 + STALE_TTL_US);
+        let mut due_requests: Vec<StaleDgram> =
+            self.stale.extract_if(.., |s| s.is_request && s.due <= now).collect();
         // Stable order: by due time, ties by original insertion order.
         due_requests.sort_by_key(|s| s.due);
-        self.stale = keep;
         for s in due_requests {
             let seq = self.wire_event(&s.dgram, true, Some(s.kind), "stale", Some(s.parent));
             if let Ok(Some(reply)) = self.dispatch(s.dgram) {
@@ -892,15 +880,30 @@ mod tests {
         }
     }
 
-    fn build() -> (Network, Endpoint, Endpoint) {
+    /// A service that counts the requests it handles and replies with
+    /// the running count.
+    struct Counter(u32);
+    impl Service for Counter {
+        fn handle(&mut self, _: &mut ServiceCtx, _: &[u8], _: Endpoint) -> Option<Vec<u8>> {
+            self.0 += 1;
+            Some(vec![self.0 as u8])
+        }
+    }
+
+    /// A client host and a server host running `service` on port 7.
+    fn build_with(service: Box<dyn Service>) -> (Network, Endpoint, Endpoint) {
         let mut net = Network::new();
         let a = Addr::new(10, 0, 0, 1);
         let b = Addr::new(10, 0, 0, 2);
         net.add_host(Host::new("client", vec![a]));
         let mut server = Host::new("server", vec![b]);
-        server.bind(7, Box::new(Echo));
+        server.bind(7, service);
         net.add_host(server);
         (net, Endpoint::new(a, 1024), Endpoint::new(b, 7))
+    }
+
+    fn build() -> (Network, Endpoint, Endpoint) {
+        build_with(Box::new(Echo))
     }
 
     #[test]
@@ -1031,22 +1034,8 @@ mod tests {
 
     #[test]
     fn duplicate_request_is_redelivered_by_pump() {
-        struct Counter(u32);
-        impl Service for Counter {
-            fn handle(&mut self, _: &mut ServiceCtx, _: &[u8], _: Endpoint) -> Option<Vec<u8>> {
-                self.0 += 1;
-                Some(vec![self.0 as u8])
-            }
-        }
-        let mut net = Network::new();
-        let a = Addr::new(10, 0, 0, 1);
-        let b = Addr::new(10, 0, 0, 2);
-        net.add_host(Host::new("client", vec![a]));
-        let mut server = Host::new("server", vec![b]);
-        server.bind(7, Box::new(Counter(0)));
-        net.add_host(server);
-        let c = Endpoint::new(a, 1024);
-        let s = Endpoint::new(b, 7);
+        let (mut net, c, s) = build_with(Box::new(Counter(0)));
+        let (a, b) = (c.addr, s.addr);
         net.set_fault_plan(
             FaultPlan::new(1).with_link(a, b, LinkFaults { duplicate: 1.0, ..LinkFaults::none() }),
         );
@@ -1069,6 +1058,97 @@ mod tests {
             FaultPlan::new(2).with_link(b, a, LinkFaults { drop: 1.0, ..LinkFaults::none() }),
         );
         assert_eq!(net.rpc(c, s, b"z".to_vec()).unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn held_datagram_past_ttl_is_discarded_at_next_pump() {
+        let (mut net, c, s) = build_with(Box::new(Counter(0)));
+        // Both directions duplicate: one held copy of the request, one
+        // of the reply (due one hop later).
+        net.set_fault_plan(
+            FaultPlan::new(1).with_default(LinkFaults { duplicate: 1.0, ..LinkFaults::none() }),
+        );
+        assert_eq!(net.rpc(c, s, b"x".to_vec()).unwrap(), vec![1]);
+        assert_eq!(net.stale.iter().map(|d| d.is_request).collect::<Vec<_>>(), [true, false]);
+        let reply_due = net.stale[1].due;
+        // Exactly the TTL past the reply's due time: the earlier-due
+        // request copy is more than the TTL past due and is discarded
+        // undelivered; the reply copy is still held.
+        net.advance(SimDuration(reply_due.0 + STALE_TTL_US - net.now().0));
+        net.pump();
+        assert_eq!(net.stale.iter().map(|d| d.is_request).collect::<Vec<_>>(), [false]);
+        net.advance(SimDuration(1));
+        net.pump();
+        assert!(net.stale.is_empty(), "the reply copy expired too");
+        // With every reply now lost, the client is not handed the
+        // expired copy.
+        net.set_fault_plan(
+            FaultPlan::new(2).with_link(s.addr, c.addr, LinkFaults { drop: 1.0, ..LinkFaults::none() }),
+        );
+        assert_eq!(net.rpc(c, s, b"y".to_vec()), Err(NetError::ReplyLost));
+        net.take_fault_plan();
+        assert_eq!(net.rpc(c, s, b"z".to_vec()).unwrap(), vec![3], "the server saw x, y and z only");
+        assert!(
+            !net.traffic_log().iter().any(|r| r.fault == Some(FaultKind::Duplicated)),
+            "no held copy was ever delivered"
+        );
+    }
+
+    #[test]
+    fn due_requests_deliver_in_due_order_ties_in_hold_order() {
+        let (mut net, c, s) = build();
+        let t = net.now().0;
+        let hold = |due: u64, body: u8| StaleDgram {
+            due: SimTime(due),
+            dgram: Datagram { src: c, dst: s, payload: vec![body].into() },
+            is_request: true,
+            kind: FaultKind::Reordered,
+            parent: 0,
+        };
+        net.stale.extend([
+            hold(t + 30, b'a'),
+            hold(t + 10, b'b'),
+            hold(t + 50, b'f'),
+            hold(t + 30, b'c'),
+            hold(t + 20, b'd'),
+            hold(t + 10, b'e'),
+        ]);
+        net.advance(SimDuration(30));
+        net.pump();
+        let delivered: Vec<u8> = net
+            .traffic_log()
+            .iter()
+            .filter(|r| r.is_request && r.fault == Some(FaultKind::Reordered))
+            .map(|r| r.dgram.payload[0])
+            .collect();
+        assert_eq!(delivered, b"bedac", "due order; equal due times in hold order");
+        // The request not yet due stays first; the late replies the
+        // deliveries provoked queue behind it in delivery order.
+        let held: Vec<(bool, u8)> =
+            net.stale.iter().map(|d| (d.is_request, d.dgram.payload[0])).collect();
+        assert_eq!(
+            held,
+            [(true, b'f'), (false, b'b'), (false, b'e'), (false, b'd'), (false, b'a'), (false, b'c')]
+        );
+    }
+
+    #[test]
+    fn unread_late_replies_stay_held_in_hold_order() {
+        let (mut net, c, s) = build();
+        net.set_fault_plan(
+            FaultPlan::new(1).with_link(s.addr, c.addr, LinkFaults { duplicate: 1.0, ..LinkFaults::none() }),
+        );
+        for body in [b"ab", b"cd", b"ef"] {
+            net.rpc(c, s, body.to_vec()).unwrap();
+        }
+        // Every copy is due, none expired: a pump delivers requests
+        // only, so the three reply copies stay where they were.
+        net.advance(SimDuration::from_millis(10));
+        net.pump();
+        net.pump();
+        let held: Vec<(bool, &[u8])> =
+            net.stale.iter().map(|d| (d.is_request, d.dgram.payload.as_slice())).collect();
+        assert_eq!(held, [(false, &b"ba"[..]), (false, b"dc"), (false, b"fe")]);
     }
 
     #[test]

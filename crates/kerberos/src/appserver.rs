@@ -4,14 +4,13 @@
 use crate::authenticator::Authenticator;
 use crate::client::{client_local_time_us, Credential};
 use crate::config::{AppProtection, AuthStyle, ProtocolConfig, RetryPolicy};
-use crate::encoding::Codec;
 use crate::error::KrbError;
 use crate::flags::TicketFlags;
 use crate::messages::{
-    deframe, err_code, frame, ApRep, ApReq, EncApRepPart, KrbErrorMsg, WireKind,
+    deframe, err_code, frame, ApRep, ApReq, EncApRepPart, KrbErrorMsg, Refusal, WireKind,
 };
 use crate::principal::Principal;
-use crate::replay_cache::{CacheVerdict, ReplayCache};
+use crate::replay_cache::{CacheVerdict, DurableCache, ReplayCache};
 use crate::retry::{self, reply_transient};
 use crate::session::{Direction, Session};
 use crate::ticket::Ticket;
@@ -41,7 +40,8 @@ pub struct AppServer {
     pub principal: Principal,
     service_key: ScheduledKey,
     rng: Drbg,
-    replay_cache: ReplayCache,
+    /// The authenticator replay cache, persisted if so configured.
+    replay_cache: DurableCache,
     /// Challenge/response state: peer -> (nonce, ticket).
     pending: BTreeMap<Endpoint, (u64, Ticket)>,
     /// Established sessions by peer endpoint.
@@ -54,10 +54,6 @@ pub struct AppServer {
     /// ever authenticated, so spoofed and malformed datagrams add
     /// nothing. Rejections go to the trace only (`ap.rejected`).
     accepted: BTreeMap<Principal, usize>,
-    /// Simulated stable storage: the last replay-cache snapshot (the
-    /// only state that survives a crash window besides the service key).
-    disk: Option<Vec<u8>>,
-    last_snapshot_us: u64,
     /// Restarts observed (crash windows ridden out).
     pub restarts: u32,
     /// The network's tracer, refreshed from the service context on
@@ -76,34 +72,21 @@ impl AppServer {
         logic: Box<dyn AppLogic>,
         rng_seed: u64,
     ) -> Self {
-        let skew = config.clock_skew_us;
+        let replay_cache = DurableCache::new(config.clock_skew_us, config.persist_replay_cache);
         AppServer {
             config,
             principal,
             service_key: ScheduledKey::new(service_key),
             rng: Drbg::new(rng_seed),
-            replay_cache: ReplayCache::new(skew),
+            replay_cache,
             pending: BTreeMap::new(),
             sessions: BTreeMap::new(),
             authorized: BTreeMap::new(),
             logic,
             accepted: BTreeMap::new(),
-            disk: None,
-            last_snapshot_us: 0,
             restarts: 0,
             trace: Tracer::new(),
             trace_now_us: 0,
-        }
-    }
-
-    /// Snapshots the replay cache to "disk" when the configured interval
-    /// has elapsed.
-    fn maybe_snapshot(&mut self, now_us: u64) {
-        if self.config.persist_replay_cache
-            && now_us.saturating_sub(self.last_snapshot_us) >= self.config.replay_snapshot_interval_us
-        {
-            self.disk = Some(self.replay_cache.snapshot(now_us));
-            self.last_snapshot_us = now_us;
         }
     }
 
@@ -126,13 +109,14 @@ impl AppServer {
 
     /// The replay cache, for state-cost measurements.
     pub fn replay_cache(&self) -> &ReplayCache {
-        &self.replay_cache
+        &self.replay_cache.live
     }
 
-    fn reject(&mut self, from: Endpoint, reason: &str, code: u32) -> Vec<u8> {
+    /// Traces a refusal of a datagram from `from` and encodes it.
+    fn reject(&mut self, from: Endpoint, refusal: Refusal) -> Vec<u8> {
         // Replay-cache verdicts get their own event kinds; everything
         // else is a generic rejection with its reason.
-        let kind = match code {
+        let kind = match refusal.code {
             err_code::REPLAY => EventKind::ReplayBlocked,
             err_code::TRY_LATER => EventKind::FailClosed,
             _ => EventKind::AuthRejected,
@@ -143,29 +127,30 @@ impl AppServer {
             vec![
                 ("site", Value::str("ap")),
                 ("service", Value::str(&self.principal.name)),
-                ("reason", Value::str(reason)),
+                ("reason", Value::str(&refusal.text)),
                 ("src", Value::str(from.addr.to_string())),
             ],
         );
         self.trace.counter("ap.rejected", &self.principal.name, 1);
-        KrbErrorMsg { code, text: reason.into(), challenge: None }.encode(self.config.codec)
+        refusal.encode(self.config.codec)
     }
 
-    /// Validates the ticket itself (not the authenticator).
-    fn check_ticket(&self, ticket: &Ticket, from: Endpoint, now_us: u64) -> Result<(), String> {
+    /// Validates the ticket itself (not the authenticator); a failure is
+    /// the reason for a POLICY refusal.
+    fn check_ticket(&self, ticket: &Ticket, from: Endpoint, now_us: u64) -> Result<(), &'static str> {
         if ticket.service != self.principal {
-            return Err("ticket is for a different service".into());
+            return Err("ticket is for a different service");
         }
         if !ticket.valid_at(now_us, self.config.clock_skew_us) {
-            return Err("ticket expired".into());
+            return Err("ticket expired");
         }
         if self.config.forbid_duplicate_skey_auth && ticket.flags.has(TicketFlags::DUPLICATE_SKEY) {
-            return Err("DUPLICATE-SKEY tickets not accepted for authentication".into());
+            return Err("DUPLICATE-SKEY tickets not accepted for authentication");
         }
         if self.config.address_in_ticket {
             if let Some(a) = ticket.addr {
                 if a != from.addr.0 {
-                    return Err("ticket address mismatch".into());
+                    return Err("ticket address mismatch");
                 }
             }
         }
@@ -182,7 +167,7 @@ impl AppServer {
         ts_echo: u64,
         client_subkey: Option<u64>,
         client_seq: Option<u64>,
-    ) -> Vec<u8> {
+    ) -> Result<Vec<u8>, Refusal> {
         let server_subkey = self.config.subkey_negotiation.then(|| self.rng.next_u64());
         let server_seq = self.rng.next_u64() >> 16;
 
@@ -215,32 +200,17 @@ impl AppServer {
         self.count_accept(&ticket.client);
 
         let part = EncApRepPart { ts_echo, subkey: server_subkey, seq_init: Some(server_seq) };
-        let sealed = match self.config.ticket_layer.seal_with(
-            session_key,
-            0,
-            &part.encode(self.config.codec),
-            &mut self.rng,
-        ) {
-            Ok(v) => v,
-            Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
-        };
-        ApRep { enc_part: sealed }.encode(self.config.codec)
+        let sealed =
+            self.config.ticket_layer.seal_with(session_key, 0, &part.encode(self.config.codec), &mut self.rng)?;
+        Ok(ApRep { enc_part: sealed }.encode(self.config.codec))
     }
 
     /// Handles KRB_AP_REQ.
-    fn ap_exchange(&mut self, body: &[u8], from: Endpoint, now_us: u64) -> Vec<u8> {
-        let req = match ApReq::decode(self.config.codec, body) {
-            Ok(r) => r,
-            Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
-        };
-        let ticket = match Ticket::unseal_with(self.config.codec, self.config.ticket_layer, &self.service_key, &req.ticket)
-        {
-            Ok(t) => t,
-            Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
-        };
-        if let Err(why) = self.check_ticket(&ticket, from, now_us) {
-            return self.reject(from, &why, err_code::POLICY);
-        }
+    fn ap_exchange(&mut self, body: &[u8], from: Endpoint, now_us: u64) -> Result<Vec<u8>, Refusal> {
+        let req = ApReq::decode(self.config.codec, body)?;
+        let ticket =
+            Ticket::unseal_with(self.config.codec, self.config.ticket_layer, &self.service_key, &req.ticket)?;
+        self.check_ticket(&ticket, from, now_us).map_err(|why| Refusal::new(err_code::POLICY, why))?;
 
         match self.config.auth_style {
             AuthStyle::ChallengeResponse => {
@@ -257,147 +227,112 @@ impl AppServer {
                     ],
                 );
                 self.pending.insert(from, (nonce, ticket));
-                KrbErrorMsg {
+                Ok(KrbErrorMsg {
                     code: err_code::CHALLENGE_REQUIRED,
                     text: "respond to challenge".into(),
                     challenge: Some(nonce),
                 }
-                .encode(self.config.codec)
+                .encode(self.config.codec))
             }
             AuthStyle::Timestamp => {
                 let session_key = ScheduledKey::new(ticket.session_key);
-                let auth = match Authenticator::unseal_with(
+                let auth = Authenticator::unseal_with(
                     self.config.codec,
                     self.config.ticket_layer,
                     &session_key,
                     &req.authenticator,
-                ) {
-                    Ok(a) => a,
-                    Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
-                };
+                )?;
                 if auth.client != ticket.client {
-                    return self.reject(from, "authenticator/ticket client mismatch", err_code::GENERIC);
+                    return Err(Refusal::new(err_code::GENERIC, "authenticator/ticket client mismatch"));
                 }
                 if auth.timestamp.abs_diff(now_us) > self.config.clock_skew_us {
-                    return self.reject(from, "authenticator outside skew window", err_code::SKEW);
+                    return Err(Refusal::new(err_code::SKEW, "authenticator outside skew window"));
                 }
                 if self.config.address_in_ticket && auth.addr != from.addr.0 {
-                    return self.reject(from, "authenticator address mismatch", err_code::GENERIC);
+                    return Err(Refusal::new(err_code::GENERIC, "authenticator address mismatch"));
                 }
-                if self.config.service_binding
-                    && auth.service_binding.as_ref() != Some(&self.principal) {
-                        return self.reject(from, "authenticator not bound to this service", err_code::POLICY);
-                    }
+                if self.config.service_binding && auth.service_binding.as_ref() != Some(&self.principal) {
+                    return Err(Refusal::new(err_code::POLICY, "authenticator not bound to this service"));
+                }
                 if self.config.replay_cache {
-                    match self.replay_cache.check(&req.authenticator, auth.timestamp, now_us) {
+                    match self.replay_cache.live.check(&req.authenticator, auth.timestamp, now_us) {
                         CacheVerdict::Replayed => {
-                            return self.reject(from, "authenticator replayed", err_code::REPLAY)
+                            return Err(Refusal::new(err_code::REPLAY, "authenticator replayed"))
                         }
+                        // Inside the post-restart window the cache cannot
+                        // prove this authenticator was never presented;
+                        // refuse and let the client retry with a fresh
+                        // one.
                         CacheVerdict::FailClosed => {
-                            // Inside the post-restart window the cache
-                            // cannot prove this authenticator was never
-                            // presented; refuse and let the client retry
-                            // with a fresh one.
-                            return self.reject(
-                                from,
-                                "server recently restarted; retry with a fresh authenticator",
+                            return Err(Refusal::new(
                                 err_code::TRY_LATER,
-                            );
+                                "server recently restarted; retry with a fresh authenticator",
+                            ))
                         }
-                        CacheVerdict::Fresh => {
-                            // This was the last validation: record the
-                            // accepted authenticator.
-                            self.replay_cache.commit(&req.authenticator, now_us);
-                            self.maybe_snapshot(now_us);
-                        }
+                        // This was the last validation: record the
+                        // accepted authenticator.
+                        CacheVerdict::Fresh => self.replay_cache.commit(&req.authenticator, now_us),
                     }
                 }
                 let echo = auth.timestamp.wrapping_add(1);
-                self.establish(from, &ticket.clone(), &session_key, echo, auth.subkey, auth.seq_init)
+                self.establish(from, &ticket, &session_key, echo, auth.subkey, auth.seq_init)
             }
         }
     }
 
     /// Handles the client's challenge response.
-    fn challenge_exchange(&mut self, body: &[u8], from: Endpoint) -> Vec<u8> {
-        let Some((nonce, ticket)) = self.pending.remove(&from) else {
-            return self.reject(from, "no challenge outstanding", err_code::GENERIC);
-        };
+    fn challenge_exchange(&mut self, body: &[u8], from: Endpoint) -> Result<Vec<u8>, Refusal> {
+        let (nonce, ticket) = self
+            .pending
+            .remove(&from)
+            .ok_or_else(|| Refusal::new(err_code::GENERIC, "no challenge outstanding"))?;
         let session_key = ScheduledKey::new(ticket.session_key);
-        let pt = match self.config.ticket_layer.open_with(&session_key, 0, body) {
-            Ok(p) => p,
-            Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
-        };
-        let part = match EncApRepPart::decode(self.config.codec, &pt) {
-            Ok(p) => p,
-            Err(e) => return self.reject(from, &e.to_string(), err_code::GENERIC),
-        };
+        let pt = self.config.ticket_layer.open_with(&session_key, 0, body)?;
+        let part = EncApRepPart::decode(self.config.codec, &pt)?;
         // The response must be a function of the challenge: nonce + 1.
         if part.ts_echo != nonce.wrapping_add(1) {
-            return self.reject(from, "wrong challenge response", err_code::GENERIC);
+            return Err(Refusal::new(err_code::GENERIC, "wrong challenge response"));
         }
-        self.establish(from, &ticket.clone(), &session_key, nonce.wrapping_add(2), part.subkey, part.seq_init)
+        self.establish(from, &ticket, &session_key, nonce.wrapping_add(2), part.subkey, part.seq_init)
     }
 
     /// Handles a KRB_PRIV command in an established session.
-    fn priv_exchange(&mut self, wire: &[u8], from: Endpoint, now_us: u64, my_addr: u32) -> Vec<u8> {
-        let Some(session) = self.sessions.get_mut(&from) else {
-            return self.reject(from, "no session", err_code::GENERIC);
-        };
-        let data = match session.recv_priv(wire, now_us) {
-            Ok(d) => d,
-            Err(e) => {
-                let msg = e.to_string();
-                return self.reject(from, &msg, err_code::INTEGRITY);
-            }
-        };
-        let client = session.peer.clone();
-        let reply = self.logic.on_command(&client, &data);
-        let Some(session) = self.sessions.get_mut(&from) else {
-            return self.reject(from, "no session", err_code::GENERIC);
-        };
-        session
-            .send_priv(&reply, now_us, my_addr, &mut self.rng)
-            .unwrap_or_else(|e| KrbErrorMsg { code: err_code::GENERIC, text: e.to_string(), challenge: None }
-                .encode(Codec::Typed))
+    fn priv_exchange(&mut self, wire: &[u8], from: Endpoint, now_us: u64, my_addr: u32) -> Result<Vec<u8>, Refusal> {
+        let session = self.sessions.get_mut(&from).ok_or_else(no_session)?;
+        let data =
+            session.recv_priv(wire, now_us).map_err(|e| Refusal::new(err_code::INTEGRITY, e.to_string()))?;
+        let reply = self.logic.on_command(&session.peer, &data);
+        Ok(session.send_priv(&reply, now_us, my_addr, &mut self.rng)?)
     }
 
     /// Handles a KRB_SAFE command (integrity-protected, plaintext data).
-    fn safe_exchange(&mut self, wire: &[u8], from: Endpoint, now_us: u64, my_addr: u32) -> Vec<u8> {
-        let config = self.config.clone();
-        let Some(session) = self.sessions.get_mut(&from) else {
-            return self.reject(from, "no session", err_code::GENERIC);
-        };
-        let data = match session.recv_safe(wire, now_us, &config) {
-            Ok(d) => d,
-            Err(e) => {
-                let msg = e.to_string();
-                return self.reject(from, &msg, err_code::INTEGRITY);
-            }
-        };
-        let client = session.peer.clone();
-        let reply = self.logic.on_command(&client, &data);
-        let Some(session) = self.sessions.get_mut(&from) else {
-            return self.reject(from, "no session", err_code::GENERIC);
-        };
-        session
-            .send_safe(&reply, now_us, my_addr, &config)
-            .unwrap_or_else(|e| KrbErrorMsg { code: err_code::GENERIC, text: e.to_string(), challenge: None }
-                .encode(Codec::Typed))
+    fn safe_exchange(&mut self, wire: &[u8], from: Endpoint, now_us: u64, my_addr: u32) -> Result<Vec<u8>, Refusal> {
+        let session = self.sessions.get_mut(&from).ok_or_else(no_session)?;
+        let data = session
+            .recv_safe(wire, now_us, &self.config)
+            .map_err(|e| Refusal::new(err_code::INTEGRITY, e.to_string()))?;
+        let reply = self.logic.on_command(&session.peer, &data);
+        Ok(session.send_safe(&reply, now_us, my_addr, &self.config)?)
     }
 
     /// Handles plain post-auth application data (the Plain deployment
     /// style): trusted purely by source endpoint.
-    fn plain_exchange(&mut self, body: &[u8], from: Endpoint) -> Vec<u8> {
+    fn plain_exchange(&mut self, body: &[u8], from: Endpoint) -> Result<Vec<u8>, Refusal> {
         if self.config.app_protection != AppProtection::Plain {
-            return self.reject(from, "plain data not accepted", err_code::POLICY);
+            return Err(Refusal::new(err_code::POLICY, "plain data not accepted"));
         }
-        let Some(client) = self.authorized.get(&from).cloned() else {
-            return self.reject(from, "endpoint not authenticated", err_code::GENERIC);
-        };
-        let reply = self.logic.on_command(&client, body);
-        frame(WireKind::AppData, reply)
+        let client = self
+            .authorized
+            .get(&from)
+            .ok_or_else(|| Refusal::new(err_code::GENERIC, "endpoint not authenticated"))?;
+        let reply = self.logic.on_command(client, body);
+        Ok(frame(WireKind::AppData, reply))
     }
+}
+
+/// The refusal of a session command from a peer with no session.
+fn no_session() -> Refusal {
+    Refusal::new(err_code::GENERIC, "no session")
 }
 
 impl Service for AppServer {
@@ -407,14 +342,15 @@ impl Service for AppServer {
         let now_us = ctx.local_time.0;
         let my_addr = ctx.host_addr.0;
         let (kind, body) = deframe(req).ok()?;
-        Some(match kind {
+        let reply = match kind {
             WireKind::ApReq => self.ap_exchange(req, from, now_us),
             WireKind::ChallengeResp => self.challenge_exchange(body, from),
             WireKind::Priv => self.priv_exchange(req, from, now_us, my_addr),
             WireKind::Safe => self.safe_exchange(req, from, now_us, my_addr),
             WireKind::AppData => self.plain_exchange(body, from),
-            _ => self.reject(from, "unexpected message kind", err_code::GENERIC),
-        })
+            _ => Err(Refusal::unexpected_kind()),
+        };
+        Some(reply.unwrap_or_else(|refusal| self.reject(from, refusal)))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -433,20 +369,11 @@ impl Service for AppServer {
     fn on_restart(&mut self, ctx: &mut ServiceCtx) {
         self.trace = ctx.tracer.clone();
         self.trace_now_us = ctx.true_time.0;
-        let boot_us = ctx.local_time.0;
-        let skew = self.config.clock_skew_us;
         self.sessions.clear();
         self.pending.clear();
         self.authorized.clear();
         self.restarts += 1;
-        self.replay_cache = if self.config.persist_replay_cache {
-            self.disk
-                .as_deref()
-                .and_then(|b| ReplayCache::restore(b, boot_us))
-                .unwrap_or_else(|| ReplayCache::boot_fresh(skew, boot_us))
-        } else {
-            ReplayCache::new(skew)
-        };
+        self.replay_cache.reboot(ctx.local_time.0);
     }
 }
 
@@ -721,7 +648,7 @@ mod tests {
             srv.sessions.len(),
             srv.authorized.len(),
             srv.accepted.len(),
-            srv.replay_cache.live_entries(),
+            srv.replay_cache().live_entries(),
         ]
     }
 

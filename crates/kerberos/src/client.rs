@@ -237,8 +237,7 @@ pub fn login_at(
         }
 
         let tr = net.tracer();
-        let (client_name, key_fpr) =
-            (client.to_string(), crate::traceview::fingerprint(&part.session_key));
+        let key_fpr = crate::traceview::fingerprint(&part.session_key);
         tr.emit_ref(
             EventKind::TicketDecrypted,
             net.now().0,
@@ -380,7 +379,6 @@ pub fn get_service_ticket_at(
         }
 
         let tr = net.tracer();
-        let (client_name, service_name) = (tgt.client.to_string(), service.to_string());
         let key_fpr = crate::traceview::fingerprint(&part.session_key);
         tr.emit_ref(
             EventKind::TicketDecrypted,

@@ -162,13 +162,11 @@ pub struct ProtocolConfig {
     pub app_protection: AppProtection,
     /// Client timeout/retry/failover discipline.
     pub retry: RetryPolicy,
-    /// Whether servers persist their replay caches across restarts
-    /// (snapshot + fail-closed window). Off = the V4 reality: a volatile
-    /// cache that forgets everything on reboot.
+    /// Whether servers persist their replay caches across restarts (a
+    /// snapshot at most every 60 s of local time, plus a fail-closed
+    /// window). Off = the V4 reality: a volatile cache that forgets
+    /// everything on reboot.
     pub persist_replay_cache: bool,
-    /// How often a dirty replay cache is snapshotted to stable storage,
-    /// µs.
-    pub replay_snapshot_interval_us: u64,
 }
 
 impl ProtocolConfig {
@@ -200,7 +198,6 @@ impl ProtocolConfig {
             app_protection: AppProtection::Plain,
             retry: RetryPolicy::standard(),
             persist_replay_cache: false,
-            replay_snapshot_interval_us: 60_000_000,
         }
     }
 
@@ -233,7 +230,6 @@ impl ProtocolConfig {
             app_protection: AppProtection::Priv,
             retry: RetryPolicy::standard(),
             persist_replay_cache: false,
-            replay_snapshot_interval_us: 60_000_000,
         }
     }
 
@@ -265,7 +261,6 @@ impl ProtocolConfig {
             app_protection: AppProtection::Priv,
             retry: RetryPolicy::standard(),
             persist_replay_cache: true,
-            replay_snapshot_interval_us: 60_000_000,
         }
     }
 

@@ -14,10 +14,10 @@ use crate::encoding::MsgType;
 use crate::error::KrbError;
 use crate::flags::{KdcOptions, TicketFlags};
 use crate::messages::{
-    err_code, AsRep, AsReq, EncKdcRepPart, KrbErrorMsg, PaData, TgsRep, TgsReq, WireKind,
+    err_code, AsRep, AsReq, EncKdcRepPart, KrbErrorMsg, PaData, Refusal, TgsRep, TgsReq, WireKind,
 };
 use crate::principal::Principal;
-use crate::replay_cache::{CacheVerdict, ReplayCache};
+use crate::replay_cache::{CacheVerdict, DurableCache};
 use crate::ticket::Ticket;
 use krb_crypto::checksum;
 use krb_crypto::des::{DesKey, ScheduledKey};
@@ -95,8 +95,8 @@ pub struct Kdc {
     /// (window start µs, count). Bounded at [`RATE_MAP_BOUND`] entries
     /// with deterministic eviction of expired windows.
     req_counts: BTreeMap<u32, (u64, u32)>,
-    /// Replay cache for preauthentication blobs.
-    preauth_cache: ReplayCache,
+    /// Replay cache for preauthentication blobs, persisted if so configured.
+    preauth_cache: DurableCache,
     /// Outstanding handheld-authenticator challenges:
     /// (client, source addr) -> (R, issued at µs). Bounded like
     /// `req_counts`, evicting the stalest challenges first.
@@ -104,11 +104,6 @@ pub struct Kdc {
     /// Reusable plaintext scratch for preauth-blob opens: the batch
     /// path opens thousands of blobs without allocating per request.
     scratch: Vec<u8>,
-    /// Simulated stable storage: the last replay-cache snapshot. This
-    /// field survives a crash window (unlike every volatile structure
-    /// cleared by `on_restart`) precisely because it models the disk.
-    disk: Option<Vec<u8>>,
-    last_snapshot_us: u64,
     /// Restarts observed (crash windows ridden out).
     pub restarts: u32,
     /// The network's tracer, refreshed from the service context on
@@ -135,42 +130,25 @@ impl Kdc {
             }
         };
         let tgs_key = ScheduledKey::new(tgs_raw);
-        let skew = config.clock_skew_us;
+        let preauth_cache = DurableCache::new(config.clock_skew_us, config.persist_replay_cache);
         Kdc {
             config,
             db,
             tgs_key,
             rng: Drbg::new(rng_seed),
             req_counts: BTreeMap::new(),
-            preauth_cache: ReplayCache::new(skew),
+            preauth_cache,
             pending_hha: BTreeMap::new(),
             scratch: Vec::new(),
-            disk: None,
-            last_snapshot_us: 0,
             restarts: 0,
             trace: Tracer::new(),
             trace_now_us: 0,
         }
     }
 
-    /// Snapshots the preauth replay cache to "disk" when the configured
-    /// interval has elapsed.
-    fn maybe_snapshot(&mut self, now_us: u64) {
-        if self.config.persist_replay_cache
-            && now_us.saturating_sub(self.last_snapshot_us) >= self.config.replay_snapshot_interval_us
-        {
-            self.disk = Some(self.preauth_cache.snapshot(now_us));
-            self.last_snapshot_us = now_us;
-        }
-    }
-
     /// The realm this KDC serves.
-    pub fn realm(&self) -> String {
-        self.db.realm().to_string()
-    }
-
-    fn error(&self, code: u32, text: &str) -> Vec<u8> {
-        KrbErrorMsg { code, text: text.into(), challenge: None }.encode(self.config.codec)
+    pub fn realm(&self) -> &str {
+        self.db.realm()
     }
 
     /// Applies the per-source AS rate limit, if configured.
@@ -225,7 +203,7 @@ impl Kdc {
         if ts.abs_diff(now_us) > self.config.clock_skew_us {
             return Err(KrbError::PreauthFailed);
         }
-        match self.preauth_cache.check(blob, ts, now_us) {
+        match self.preauth_cache.live.check(blob, ts, now_us) {
             CacheVerdict::Replayed => Err(KrbError::Replay),
             CacheVerdict::FailClosed => Err(KrbError::FailClosed),
             CacheVerdict::Fresh => Ok(()),
@@ -233,11 +211,8 @@ impl Kdc {
     }
 
     /// Handles KRB_AS_REQ.
-    fn as_exchange(&mut self, body: &[u8], from: Endpoint, now_us: u64) -> Vec<u8> {
-        let req = match AsReq::decode(self.config.codec, body) {
-            Ok(r) => r,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
+    fn as_exchange(&mut self, body: &[u8], from: Endpoint, now_us: u64) -> Result<Vec<u8>, Refusal> {
+        let req = AsReq::decode(self.config.codec, body)?;
         if self.rate_limited(from.addr.0, now_us) {
             self.trace.emit(
                 EventKind::RateLimited,
@@ -248,14 +223,15 @@ impl Kdc {
                 ],
             );
             self.trace.counter("kdc.rate_limited", &req.client.name, 1);
-            return self.error(err_code::RATE_LIMITED, "request rate exceeded");
+            return Err(Refusal::new(err_code::RATE_LIMITED, "request rate exceeded"));
         }
-        let client_entry = match self.db.lookup(&req.client) {
-            Ok(e) => e.clone(),
-            Err(_) => return self.error(err_code::UNKNOWN_PRINCIPAL, "no such client"),
-        };
+        let client_key = self
+            .db
+            .lookup(&req.client)
+            .map_err(|_| Refusal::new(err_code::UNKNOWN_PRINCIPAL, "no such client"))?
+            .key;
         if !self.db.contains(&req.service) {
-            return self.error(err_code::UNKNOWN_PRINCIPAL, "no such service");
+            return Err(Refusal::new(err_code::UNKNOWN_PRINCIPAL, "no such service"));
         }
 
         // A preauth blob that passes `check` is remembered here and
@@ -305,42 +281,40 @@ impl Kdc {
                         vec![("client", Value::str(&req.client.name))],
                     );
                     self.trace.counter("kdc.challenges", &req.client.name, 1);
-                    return KrbErrorMsg {
+                    return Ok(KrbErrorMsg {
                         code: err_code::PREAUTH_REQUIRED,
                         text: "respond to login challenge".into(),
                         challenge: Some(r),
                     }
-                    .encode(self.config.codec);
+                    .encode(self.config.codec));
                 }
                 Some(blob) => {
                     let key = (req.client.clone(), from.addr.0);
                     let Some((r, _)) = self.pending_hha.get(&key).copied() else {
-                        return self.error(err_code::PREAUTH_FAILED, "no challenge outstanding");
+                        return Err(Refusal::new(err_code::PREAUTH_FAILED, "no challenge outstanding"));
                     };
-                    let kprime = ScheduledKey::new(hha_key(&client_entry.key, r));
-                    if let Err(e) = self.check_preauth_blob(&blob, &kprime, now_us) {
-                        // The challenge stays outstanding: a stale
-                        // duplicate of an EARLIER response must not
-                        // consume the R the honest client is about to
-                        // answer. Guessing against a standing R is
-                        // rate-limited like everything else.
-                        return self.preauth_error(&req.client, e);
-                    }
+                    let kprime = ScheduledKey::new(hha_key(&client_key, r));
+                    // On failure the challenge stays outstanding: a
+                    // stale duplicate of an EARLIER response must not
+                    // consume the R the honest client is about to
+                    // answer. Guessing against a standing R is
+                    // rate-limited like everything else.
+                    self.check_preauth_blob(&blob, &kprime, now_us)
+                        .map_err(|e| self.preauth_refusal(&req.client, e))?;
                     self.pending_hha.remove(&key);
                     commit_blob = Some(blob);
                     (Some(r), kprime)
                 }
             }
         } else {
-            let client_sched = ScheduledKey::new(client_entry.key);
+            let client_sched = ScheduledKey::new(client_key);
             // Plain preauthentication (recommendation g).
             if self.config.preauth == PreauthMode::EncTimestamp {
-                let Some(blob) = Self::preauth_blob(&req) else {
-                    return self.error(err_code::PREAUTH_REQUIRED, "preauthentication required");
-                };
-                if let Err(e) = self.check_preauth_blob(&blob, &client_sched, now_us) {
-                    return self.preauth_error(&req.client, e);
-                }
+                let blob = Self::preauth_blob(&req).ok_or_else(|| {
+                    Refusal::new(err_code::PREAUTH_REQUIRED, "preauthentication required")
+                })?;
+                self.check_preauth_blob(&blob, &client_sched, now_us)
+                    .map_err(|e| self.preauth_refusal(&req.client, e))?;
                 commit_blob = Some(blob);
             }
             (None, client_sched)
@@ -356,7 +330,7 @@ impl Kdc {
             flags = flags.with(TicketFlags::RENEWABLE);
         }
         let session_key = self.rng.gen_des_key();
-        let lifetime = req.lifetime_us.min(self.config.ticket_lifetime_us);
+        let end_time = now_us + req.lifetime_us.min(self.config.ticket_lifetime_us);
         let ticket = Ticket {
             flags,
             client: req.client.clone(),
@@ -364,43 +338,13 @@ impl Kdc {
             addr: self.config.address_in_ticket.then_some(req.addr),
             auth_time: now_us,
             start_time: now_us,
-            end_time: now_us + lifetime,
+            end_time,
             session_key,
             transited: vec![],
         };
-        let sealed_ticket = match ticket.seal_with(self.config.codec, self.config.ticket_layer, &self.tgs_key, &mut self.rng)
-        {
-            Ok(t) => t,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
-
-        let ticket_cksum = self
-            .config
-            .ticket_cksum_in_rep
-            .then(|| {
-                let key = self.config.checksum.is_keyed().then_some(&session_key);
-                // Key presence matches is_keyed, so compute cannot fail; on
-                // the unreachable error the reply omits the checksum rather
-                // than panicking the KDC.
-                checksum::compute(self.config.checksum, key, &sealed_ticket).ok()
-            })
-            .flatten();
-        let part = EncKdcRepPart {
-            session_key,
-            nonce: req.nonce,
-            ticket: sealed_ticket,
-            end_time: ticket.end_time,
-            server_time: now_us,
-            ticket_cksum,
-        };
-        let part_bytes = part.encode(self.config.codec, MsgType::EncAsRepPart);
-
-        // Seal under the schedule expanded above: K_c, or {R}K_c for
-        // handheld authenticators.
-        let inner = match self.config.ticket_layer.seal_with(&reply_sched, 0, &part_bytes, &mut self.rng) {
-            Ok(v) => v,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
+        // The reply part is sealed under the schedule expanded above:
+        // K_c, or {R}K_c for handheld authenticators.
+        let inner = self.seal_reply(&ticket, None, &reply_sched, MsgType::EncAsRepPart, req.nonce, now_us)?;
 
         // Optional exponential-key-exchange outer layer (recommendation
         // h): a passive wiretapper no longer records anything decryptable
@@ -411,27 +355,15 @@ impl Kdc {
                 _ => None,
             });
             let Some(client_pub) = client_pub else {
-                return self.error(err_code::PREAUTH_REQUIRED, "DH public value required");
+                return Err(Refusal::new(err_code::PREAUTH_REQUIRED, "DH public value required"));
             };
             // Check the client's value before spending a modexp on ours.
             let group = DhGroup::oakley768();
-            let their = match group.peer_public(client_pub) {
-                Ok(y) => y,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
-            let kp = match group.keypair(160, &mut self.rng) {
-                Ok(kp) => kp,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
-            let secret = match group.shared_secret(&their, &kp.private) {
-                Ok(s) => s,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
+            let their = group.peer_public(client_pub)?;
+            let kp = group.keypair(160, &mut self.rng)?;
+            let secret = group.shared_secret(&their, &kp.private)?;
             let dh_key = DhGroup::derive_key(&secret);
-            let outer = match self.config.ticket_layer.seal(&dh_key, 0, &inner, &mut self.rng) {
-                Ok(v) => v,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
+            let outer = self.config.ticket_layer.seal(&dh_key, 0, &inner, &mut self.rng)?;
             (Some(kp.public.to_bytes_be()), outer)
         } else {
             (None, inner)
@@ -441,10 +373,56 @@ impl Kdc {
         // replay cache (and, on its schedule, the on-disk snapshot).
         if let Some(blob) = &commit_blob {
             self.preauth_cache.commit(blob, now_us);
-            self.maybe_snapshot(now_us);
         }
-        self.trace_issue("as", &req.client, &req.service, &session_key, ticket.end_time);
-        AsRep { challenge_r, dh_public, enc_part }.encode(self.config.codec)
+        self.trace_issue("as", &req.client, &req.service, &session_key, end_time);
+        Ok(AsRep { challenge_r, dh_public, enc_part }.encode(self.config.codec))
+    }
+
+    /// The tail the AS exchange, the TGS exchange and renewal share:
+    /// seals `ticket` (under the realm's TGS key when `ticket_key` is
+    /// `None`), adds the ticket checksum of recommendation (c) if the
+    /// deployment includes one, and seals the reply part, of type `mtype`
+    /// and echoing `nonce`, under `reply_key`.
+    fn seal_reply(
+        &mut self,
+        ticket: &Ticket,
+        ticket_key: Option<&DesKey>,
+        reply_key: &ScheduledKey,
+        mtype: MsgType,
+        nonce: u64,
+        now_us: u64,
+    ) -> Result<Vec<u8>, Refusal> {
+        let (codec, layer) = (self.config.codec, self.config.ticket_layer);
+        let sealed_ticket = match ticket_key {
+            None => ticket.seal_with(codec, layer, &self.tgs_key, &mut self.rng)?,
+            Some(key) => ticket.seal(codec, layer, key, &mut self.rng)?,
+        };
+        // An AS reply keys the checksum with the new session key; a TGS
+        // reply with the TGT's session key, the one sealing the reply.
+        let cksum_key = match mtype {
+            MsgType::EncAsRepPart => &ticket.session_key,
+            _ => reply_key.key(),
+        };
+        let ticket_cksum = self
+            .config
+            .ticket_cksum_in_rep
+            .then(|| {
+                let key = self.config.checksum.is_keyed().then_some(cksum_key);
+                // Key presence matches is_keyed, so compute cannot fail; on
+                // the unreachable error the reply omits the checksum rather
+                // than panicking the KDC.
+                checksum::compute(self.config.checksum, key, &sealed_ticket).ok()
+            })
+            .flatten();
+        let part = EncKdcRepPart {
+            session_key: ticket.session_key,
+            nonce,
+            ticket: sealed_ticket,
+            end_time: ticket.end_time,
+            server_time: now_us,
+            ticket_cksum,
+        };
+        Ok(layer.seal_with(reply_key, 0, &part.encode(codec, mtype), &mut self.rng)?)
     }
 
     /// Records a ticket issuance in the trace: which exchange, for whom,
@@ -474,10 +452,10 @@ impl Kdc {
         self.trace.counter("kdc.issued", &client.name, 1);
     }
 
-    /// Renders a preauthentication failure as the right KRB_ERROR and
+    /// Classifies a preauthentication failure as the right refusal and
     /// records the verdict in the trace (replay hits, fail-closed
     /// windows, and plain failures are distinct events).
-    fn preauth_error(&self, client: &Principal, e: KrbError) -> Vec<u8> {
+    fn preauth_refusal(&self, client: &Principal, e: KrbError) -> Refusal {
         let (code, kind) = match e {
             KrbError::Replay => (err_code::REPLAY, EventKind::ReplayBlocked),
             KrbError::FailClosed => (err_code::TRY_LATER, EventKind::FailClosed),
@@ -493,7 +471,7 @@ impl Kdc {
             ],
         );
         self.trace.counter("kdc.preauth_rejects", &client.name, 1);
-        self.error(code, &e.to_string())
+        Refusal::new(code, e.to_string())
     }
 
     /// Attempts to unseal a presented TGT under the realm TGS key or any
@@ -535,18 +513,11 @@ impl Kdc {
     }
 
     /// Handles KRB_TGS_REQ.
-    fn tgs_exchange(&mut self, body: &[u8], from: Endpoint, now_us: u64) -> Vec<u8> {
-        let req = match TgsReq::decode(self.config.codec, body) {
-            Ok(r) => r,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
-
-        let tgt = match self.unseal_tgt(&req.tgt) {
-            Ok(t) => t,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
+    fn tgs_exchange(&mut self, body: &[u8], from: Endpoint, now_us: u64) -> Result<Vec<u8>, Refusal> {
+        let req = TgsReq::decode(self.config.codec, body)?;
+        let tgt = self.unseal_tgt(&req.tgt)?;
         if !tgt.valid_at(now_us, self.config.clock_skew_us) {
-            return self.error(err_code::GENERIC, "TGT expired");
+            return Err(Refusal::new(err_code::GENERIC, "TGT expired"));
         }
 
         // The TGT session key seals the authenticator we are about to
@@ -555,41 +526,36 @@ impl Kdc {
         let tgt_sched = ScheduledKey::new(tgt.session_key);
 
         // Authenticator under the TGS session key.
-        let auth = match Authenticator::unseal_with(
+        let auth = Authenticator::unseal_with(
             self.config.codec,
             self.config.ticket_layer,
             &tgt_sched,
             &req.authenticator,
-        ) {
-            Ok(a) => a,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
+        )?;
         if auth.client != tgt.client {
-            return self.error(err_code::GENERIC, "authenticator/ticket client mismatch");
+            return Err(Refusal::new(err_code::GENERIC, "authenticator/ticket client mismatch"));
         }
         if auth.timestamp.abs_diff(now_us) > self.config.clock_skew_us {
-            return self.error(err_code::SKEW, "authenticator too old");
+            return Err(Refusal::new(err_code::SKEW, "authenticator too old"));
         }
         if let Some(taddr) = tgt.addr {
             if self.config.address_in_ticket && taddr != from.addr.0 {
-                return self.error(err_code::GENERIC, "address mismatch");
+                return Err(Refusal::new(err_code::GENERIC, "address mismatch"));
             }
         }
 
         // The checksum sealed in the authenticator must cover the
         // cleartext request fields. With CRC-32 this check is the one
         // attack A9 defeats by collision.
-        match &auth.cksum {
-            None => return self.error(err_code::INTEGRITY, "missing request checksum"),
-            Some(c) => {
-                if c.ctype != self.config.checksum {
-                    return self.error(err_code::INTEGRITY, "wrong checksum type");
-                }
-                let key = c.ctype.is_keyed().then_some(&tgt.session_key);
-                if checksum::verify(c, key, &req.checksum_body()).is_err() {
-                    return self.error(err_code::INTEGRITY, "request checksum mismatch");
-                }
-            }
+        let Some(c) = &auth.cksum else {
+            return Err(Refusal::new(err_code::INTEGRITY, "missing request checksum"));
+        };
+        if c.ctype != self.config.checksum {
+            return Err(Refusal::new(err_code::INTEGRITY, "wrong checksum type"));
+        }
+        let key = c.ctype.is_keyed().then_some(&tgt.session_key);
+        if checksum::verify(c, key, &req.checksum_body()).is_err() {
+            return Err(Refusal::new(err_code::INTEGRITY, "request checksum mismatch"));
         }
 
         // Ticket renewal: reissue the presented (renewable) TGT with a
@@ -599,72 +565,34 @@ impl Kdc {
         // exposure.
         if req.options.has(KdcOptions::RENEW) {
             if !tgt.flags.has(TicketFlags::RENEWABLE) {
-                return self.error(err_code::POLICY, "ticket is not renewable");
+                return Err(Refusal::new(err_code::POLICY, "ticket is not renewable"));
             }
             if req.service != tgt.service {
-                return self.error(err_code::POLICY, "renewal must name the original service");
+                return Err(Refusal::new(err_code::POLICY, "renewal must name the original service"));
             }
-            let lifetime = req.lifetime_us.min(self.config.ticket_lifetime_us);
-            let renewed = Ticket { start_time: now_us, end_time: now_us + lifetime, ..tgt.clone() };
-            let sealed_ticket = match renewed.seal_with(
-                self.config.codec,
-                self.config.ticket_layer,
-                &self.tgs_key,
-                &mut self.rng,
-            ) {
-                    Ok(t) => t,
-                    Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-                };
-            let ticket_cksum = self
-                .config
-                .ticket_cksum_in_rep
-                .then(|| {
-                    let key = self.config.checksum.is_keyed().then_some(&tgt.session_key);
-                    // Key presence matches is_keyed, so compute cannot fail; on
-                    // the unreachable error the reply omits the checksum rather
-                    // than panicking the KDC.
-                    checksum::compute(self.config.checksum, key, &sealed_ticket).ok()
-                })
-                .flatten();
-            let part = EncKdcRepPart {
-                session_key: renewed.session_key,
-                nonce: req.nonce,
-                ticket: sealed_ticket,
-                end_time: renewed.end_time,
-                server_time: now_us,
-                ticket_cksum,
-            };
-            let enc_part = match self.config.ticket_layer.seal_with(
-                &tgt_sched,
-                0,
-                &part.encode(self.config.codec, MsgType::EncTgsRepPart),
-                &mut self.rng,
-            ) {
-                Ok(v) => v,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
-            self.trace_issue("tgs.renew", &tgt.client, &req.service, &renewed.session_key, renewed.end_time);
-            return TgsRep { enc_part }.encode(self.config.codec);
+            let end_time = now_us + req.lifetime_us.min(self.config.ticket_lifetime_us);
+            let renewed = Ticket { start_time: now_us, end_time, ..tgt.clone() };
+            let enc_part =
+                self.seal_reply(&renewed, None, &tgt_sched, MsgType::EncTgsRepPart, req.nonce, now_us)?;
+            self.trace_issue("tgs.renew", &tgt.client, &req.service, &tgt.session_key, end_time);
+            return Ok(TgsRep { enc_part }.encode(self.config.codec));
         }
 
         // Resolve the target service and its sealing key.
         let cross_realm_target = req.service.is_tgs() && req.service.instance != self.realm();
         let service_key = if cross_realm_target {
-            let p = Principal::cross_realm_tgs(&req.service.instance, &self.realm());
-            match self.db.lookup(&p) {
-                Ok(e) => e.key,
-                Err(_) => {
-                    return self.error(
-                        err_code::POLICY,
-                        &format!("no inter-realm key for {}", req.service.instance),
-                    )
-                }
-            }
+            let p = Principal::cross_realm_tgs(&req.service.instance, self.realm());
+            self.db
+                .lookup(&p)
+                .map_err(|_| {
+                    Refusal::new(err_code::POLICY, format!("no inter-realm key for {}", req.service.instance))
+                })?
+                .key
         } else {
-            match self.db.lookup(&req.service) {
-                Ok(e) => e.key,
-                Err(_) => return self.error(err_code::UNKNOWN_PRINCIPAL, "no such service"),
-            }
+            self.db
+                .lookup(&req.service)
+                .map_err(|_| Refusal::new(err_code::UNKNOWN_PRINCIPAL, "no such service"))?
+                .key
         };
 
         // Option processing.
@@ -674,36 +602,29 @@ impl Kdc {
 
         if req.options.has(KdcOptions::ENC_TKT_IN_SKEY) {
             if !self.config.allow_enc_tkt_in_skey {
-                return self.error(err_code::POLICY, "ENC-TKT-IN-SKEY not allowed");
+                return Err(Refusal::new(err_code::POLICY, "ENC-TKT-IN-SKEY not allowed"));
             }
-            let Some(add) = &req.additional_ticket else {
-                return self.error(err_code::GENERIC, "ENC-TKT-IN-SKEY requires additional ticket");
-            };
-            let add_tkt = match self.unseal_tgt(add) {
-                Ok(t) => t,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
+            let add = req.additional_ticket.as_deref().ok_or_else(|| {
+                Refusal::new(err_code::GENERIC, "ENC-TKT-IN-SKEY requires additional ticket")
+            })?;
+            let add_tkt = self.unseal_tgt(add)?;
             // The check "apparently inadvertently omitted from Draft 3":
             // the cname in the additional ticket must match the server
             // name for which the new ticket is requested.
             if self.config.enforce_cname_match && add_tkt.client != req.service {
-                return self.error(err_code::POLICY, "additional-ticket cname mismatch");
+                return Err(Refusal::new(err_code::POLICY, "additional-ticket cname mismatch"));
             }
             sealing_key = add_tkt.session_key;
         }
 
         if req.options.has(KdcOptions::REUSE_SKEY) {
             if !self.config.allow_reuse_skey {
-                return self.error(err_code::POLICY, "REUSE-SKEY not allowed");
+                return Err(Refusal::new(err_code::POLICY, "REUSE-SKEY not allowed"));
             }
-            let Some(add) = &req.additional_ticket else {
-                return self.error(err_code::GENERIC, "REUSE-SKEY requires additional ticket");
-            };
-            let add_tkt = match self.unseal_any(add) {
-                Ok(t) => t,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
-            session_key = add_tkt.session_key;
+            let add = req.additional_ticket.as_deref().ok_or_else(|| {
+                Refusal::new(err_code::GENERIC, "REUSE-SKEY requires additional ticket")
+            })?;
+            session_key = self.unseal_any(add)?.session_key;
             flags = flags.with(TicketFlags::DUPLICATE_SKEY);
         }
 
@@ -714,7 +635,7 @@ impl Kdc {
         let mut bound_addr = self.config.address_in_ticket.then_some(from.addr.0);
         if req.options.has(KdcOptions::FORWARDED) {
             if !tgt.flags.has(TicketFlags::FORWARDABLE) {
-                return self.error(err_code::POLICY, "ticket is not forwardable");
+                return Err(Refusal::new(err_code::POLICY, "ticket is not forwardable"));
             }
             flags = flags.with(TicketFlags::FORWARDED);
             if self.config.address_in_ticket {
@@ -725,14 +646,11 @@ impl Kdc {
             flags = flags.with(TicketFlags::FORWARDABLE);
         }
 
-        // Transited realms: extend the path when the client's TGT came
-        // from elsewhere.
+        // A ticket for a remote realm's TGS records this realm on its
+        // transited path.
         let mut transited = tgt.transited.clone();
-        if tgt.client.realm != self.realm() && !transited.contains(&tgt.client.realm) {
-            // Record where the chain started if missing.
-        }
         if cross_realm_target {
-            transited.push(self.realm());
+            transited.push(self.realm().to_string());
         }
 
         let lifetime = req.lifetime_us.min(self.config.ticket_lifetime_us);
@@ -748,43 +666,10 @@ impl Kdc {
             session_key,
             transited,
         };
-        let sealed_ticket =
-            match ticket.seal(self.config.codec, self.config.ticket_layer, &sealing_key, &mut self.rng) {
-                Ok(t) => t,
-                Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-            };
-
-        let ticket_cksum = self
-            .config
-            .ticket_cksum_in_rep
-            .then(|| {
-                let key = self.config.checksum.is_keyed().then_some(&tgt.session_key);
-                // Key presence matches is_keyed, so compute cannot fail; on
-                // the unreachable error the reply omits the checksum rather
-                // than panicking the KDC.
-                checksum::compute(self.config.checksum, key, &sealed_ticket).ok()
-            })
-            .flatten();
-        let part = EncKdcRepPart {
-            session_key,
-            nonce: req.nonce,
-            ticket: sealed_ticket,
-            end_time,
-            server_time: now_us,
-            ticket_cksum,
-        };
-        let enc_part = match self.config.ticket_layer.seal_with(
-            &tgt_sched,
-            0,
-            &part.encode(self.config.codec, MsgType::EncTgsRepPart),
-            &mut self.rng,
-        ) {
-            Ok(v) => v,
-            Err(e) => return self.error(err_code::GENERIC, &e.to_string()),
-        };
-
+        let enc_part =
+            self.seal_reply(&ticket, Some(&sealing_key), &tgt_sched, MsgType::EncTgsRepPart, req.nonce, now_us)?;
         self.trace_issue("tgs", &tgt.client, &req.service, &session_key, end_time);
-        TgsRep { enc_part }.encode(self.config.codec)
+        Ok(TgsRep { enc_part }.encode(self.config.codec))
     }
 
     /// Processes a batch of AS/TGS requests in order through
@@ -799,7 +684,7 @@ impl Kdc {
             .iter()
             .map(|(req, from)| {
                 self.handle(ctx, req, *from)
-                    .unwrap_or_else(|| self.error(err_code::GENERIC, "unexpected message kind"))
+                    .unwrap_or_else(|| Refusal::unexpected_kind().encode(self.config.codec))
             })
             .collect()
     }
@@ -811,11 +696,12 @@ impl Service for Kdc {
         self.trace_now_us = ctx.true_time.0;
         let now_us = ctx.local_time.0;
         let kind = req.first().copied().and_then(WireKind::from_u8)?;
-        Some(match kind {
+        let reply = match kind {
             WireKind::AsReq => self.as_exchange(req, from, now_us),
             WireKind::TgsReq => self.tgs_exchange(req, from, now_us),
-            _ => self.error(err_code::GENERIC, "unexpected message kind"),
-        })
+            _ => Err(Refusal::unexpected_kind()),
+        };
+        Some(reply.unwrap_or_else(|refusal| refusal.encode(self.config.codec)))
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
@@ -826,28 +712,17 @@ impl Service for Kdc {
         Some(self)
     }
 
-    /// A crash window ended: volatile state (challenges, rate counters,
-    /// and — without persistence — the preauth replay cache) is gone.
-    /// With persistence the cache restores from the last snapshot and
-    /// fail-closes the gap since it was taken.
+    /// A crash window ended: volatile state (challenges, rate counters)
+    /// is gone, and the preauth replay cache reboots: restored from its
+    /// last snapshot, fail-closing the gap since, when the deployment
+    /// persists it, and empty otherwise.
     fn on_restart(&mut self, ctx: &mut ServiceCtx) {
         self.trace = ctx.tracer.clone();
         self.trace_now_us = ctx.true_time.0;
-        let boot_us = ctx.local_time.0;
-        let skew = self.config.clock_skew_us;
         self.pending_hha.clear();
         self.req_counts.clear();
         self.restarts += 1;
-        self.preauth_cache = if self.config.persist_replay_cache {
-            self.disk
-                .as_deref()
-                .and_then(|b| ReplayCache::restore(b, boot_us))
-                .unwrap_or_else(|| ReplayCache::boot_fresh(skew, boot_us))
-        } else {
-            // The V4 reality: a volatile cache that forgets every live
-            // authenticator on reboot.
-            ReplayCache::new(skew)
-        };
+        self.preauth_cache.reboot(ctx.local_time.0);
     }
 }
 

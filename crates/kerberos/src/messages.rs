@@ -568,6 +568,42 @@ impl KrbErrorMsg {
     }
 }
 
+/// A server's refusal of a request: the KRB-ERROR code and text it
+/// answers with. Exchange handlers return it through `?`; each server's
+/// `Service::handle` is the one place that encodes it.
+pub(crate) struct Refusal {
+    pub(crate) code: u32,
+    pub(crate) text: String,
+}
+
+impl Refusal {
+    pub(crate) fn new(code: u32, text: impl Into<String>) -> Refusal {
+        Refusal { code, text: text.into() }
+    }
+
+    /// The refusal of a datagram whose kind the server does not serve.
+    pub(crate) fn unexpected_kind() -> Refusal {
+        Refusal::new(err_code::GENERIC, "unexpected message kind")
+    }
+
+    pub(crate) fn encode(self, codec: Codec) -> Vec<u8> {
+        KrbErrorMsg { code: self.code, text: self.text, challenge: None }.encode(codec)
+    }
+}
+
+/// A failure no check classified refuses as GENERIC, with its own text.
+impl From<KrbError> for Refusal {
+    fn from(e: KrbError) -> Refusal {
+        Refusal::new(err_code::GENERIC, e.to_string())
+    }
+}
+
+impl From<krb_crypto::CryptoError> for Refusal {
+    fn from(e: krb_crypto::CryptoError) -> Refusal {
+        Refusal::new(err_code::GENERIC, e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,6 +47,10 @@ pub enum CacheVerdict {
 /// Magic prefix of a serialized cache snapshot.
 const SNAPSHOT_MAGIC: &[u8; 8] = b"RPLYCSH1";
 
+/// How often a persisted cache is snapshotted to stable storage, µs of
+/// the server's local time.
+const SNAPSHOT_INTERVAL_US: u64 = 60_000_000;
+
 /// A cache of authenticators seen within the skew window.
 #[derive(Clone, Debug, Default)]
 pub struct ReplayCache {
@@ -197,6 +201,48 @@ impl ReplayCache {
             gap_until_us: boot_us,
             ..ReplayCache::default()
         })
+    }
+}
+
+/// A replay cache as a server holds it across crash windows. With
+/// `persist` set, a commit at least [`SNAPSHOT_INTERVAL_US`] after the
+/// last snapshot writes a new one to `disk`, and a reboot restores from
+/// it; without, a reboot forgets every live entry (the V4 reality).
+pub(crate) struct DurableCache {
+    pub(crate) live: ReplayCache,
+    persist: bool,
+    /// Simulated stable storage: unlike `live`, it survives a crash.
+    disk: Option<Vec<u8>>,
+    last_snapshot_us: u64,
+}
+
+impl DurableCache {
+    pub(crate) fn new(window_us: u64, persist: bool) -> Self {
+        DurableCache { live: ReplayCache::new(window_us), persist, disk: None, last_snapshot_us: 0 }
+    }
+
+    /// [`ReplayCache::commit`], then a snapshot on the cadence.
+    pub(crate) fn commit(&mut self, sealed: &[u8], now_us: u64) {
+        self.live.commit(sealed, now_us);
+        if self.persist && now_us.saturating_sub(self.last_snapshot_us) >= SNAPSHOT_INTERVAL_US {
+            self.disk = Some(self.live.snapshot(now_us));
+            self.last_snapshot_us = now_us;
+        }
+    }
+
+    /// A crash window ended at local time `boot_us`. A persisted cache
+    /// restores from disk, fail-closing the gap since the snapshot (or
+    /// the whole window, with none to restore).
+    pub(crate) fn reboot(&mut self, boot_us: u64) {
+        let window_us = self.live.window_us;
+        self.live = if self.persist {
+            self.disk
+                .as_deref()
+                .and_then(|b| ReplayCache::restore(b, boot_us))
+                .unwrap_or_else(|| ReplayCache::boot_fresh(window_us, boot_us))
+        } else {
+            ReplayCache::new(window_us)
+        };
     }
 }
 
@@ -363,6 +409,23 @@ mod tests {
             c.snapshot(1_000)
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn durable_cache_restores_its_last_snapshot() {
+        let s = |secs: u64| secs * 1_000_000;
+        let mut persisted = DurableCache::new(MIN5, true);
+        persisted.commit(b"snapshotted", s(100));
+        // Ten seconds later: inside the snapshot interval, so live only.
+        persisted.commit(b"unsaved", s(110));
+        persisted.reboot(s(120));
+        assert_eq!(persisted.live.check(b"snapshotted", s(100), s(121)), CacheVerdict::Replayed);
+        assert_eq!(persisted.live.check(b"unsaved", s(110), s(121)), CacheVerdict::FailClosed);
+
+        let mut volatile = DurableCache::new(MIN5, false);
+        volatile.commit(b"snapshotted", s(100));
+        volatile.reboot(s(120));
+        assert_eq!(volatile.live.check(b"snapshotted", s(100), s(121)), CacheVerdict::Fresh);
     }
 
     #[test]

@@ -758,16 +758,7 @@ impl Network {
             .remove(&dgram.dst.port)
             .ok_or(NetError::PortClosed(dgram.dst))?;
 
-        let host = &self.hosts[hid.0];
-        let mut ctx = ServiceCtx {
-            local_time: host.clock.now(self.true_time),
-            host_name: host.name.clone(),
-            host_addr: dgram.dst.addr,
-            multi_user: host.multi_user,
-            true_time: self.true_time,
-            tracer: self.tracer.clone(),
-            forward: None,
-        };
+        let mut ctx = self.service_ctx(hid, dgram.dst.addr);
         let mut reply = service.handle(&mut ctx, &dgram.payload, dgram.src);
         if let (None, Some((up, fwd_payload))) = (&reply, ctx.forward.take()) {
             // Proxy leg: the forwarded request keeps the ORIGINAL
@@ -777,18 +768,9 @@ impl Network {
             // wire like any other traffic: latency, the adversary tap,
             // and the fault plan all apply.
             let upstream = self.forward_leg(dgram.src, dgram.dst, up, fwd_payload, depth);
-            let host = &self.hosts[hid.0];
-            let mut fctx = ServiceCtx {
-                // Re-read the clock: the forwarded round trip advanced
-                // time.
-                local_time: host.clock.now(self.true_time),
-                host_name: host.name.clone(),
-                host_addr: dgram.dst.addr,
-                multi_user: host.multi_user,
-                true_time: self.true_time,
-                tracer: self.tracer.clone(),
-                forward: None,
-            };
+            // A fresh context re-reads the clock: the forwarded round
+            // trip advanced time.
+            let mut fctx = self.service_ctx(hid, dgram.dst.addr);
             reply = match &upstream {
                 Ok(bytes) => service.on_forward_reply(&mut fctx, Ok(bytes), dgram.src),
                 Err(e) => service.on_forward_reply(&mut fctx, Err(e), dgram.src),
@@ -834,6 +816,21 @@ impl Network {
         }
     }
 
+    /// The context a service of host `hid`, reached at `addr`, runs in
+    /// now: the host's local clock, the network's true time and tracer.
+    fn service_ctx(&self, hid: HostId, addr: Addr) -> ServiceCtx {
+        let host = &self.hosts[hid.0];
+        ServiceCtx {
+            local_time: host.clock.now(self.true_time),
+            host_name: host.name.clone(),
+            host_addr: addr,
+            multi_user: host.multi_user,
+            true_time: self.true_time,
+            tracer: self.tracer.clone(),
+            forward: None,
+        }
+    }
+
     /// Runs [`crate::host::Service::on_restart`] on every service bound
     /// to a host that has come back from a crash window. Volatile
     /// in-memory state is the service's to lose.
@@ -848,17 +845,7 @@ impl Network {
         ports.sort_unstable();
         for port in ports {
             let Some(mut service) = self.hosts[hid.0].services.remove(&port) else { continue };
-            let host = &self.hosts[hid.0];
-            let mut ctx = ServiceCtx {
-                local_time: host.clock.now(self.true_time),
-                host_name: host.name.clone(),
-                host_addr: addr,
-                multi_user: host.multi_user,
-                true_time: self.true_time,
-                tracer: self.tracer.clone(),
-                forward: None,
-            };
-            service.on_restart(&mut ctx);
+            service.on_restart(&mut self.service_ctx(hid, addr));
             self.hosts[hid.0].services.insert(port, service);
         }
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, fully offline:
-#   1. hermeticity — cargo resolves nothing but in-tree path packages
+#   1. hermeticity — cargo resolves nothing but in-tree path packages —
+#      and a type-check of the standalone benchmark package
 #   2. static invariants — krb-lint (secrecy, constant-time compare,
 #      wire-length casts, metric names) with a justified-suppression
 #      baseline
@@ -49,6 +50,13 @@ for manifest in Cargo.toml kbench/Cargo.toml; do
     fi
 done
 echo "ok: all dependencies are in-tree path dependencies"
+
+echo "== benchmark type-check (kbench) =="
+# kbench is its own cargo workspace, so no other step compiles it: a
+# change to an API it calls (Kdc::new, Kdc::handle_batch, ServiceCtx,
+# AppServer::replay_cache, ...) would otherwise pass every gate here and
+# break only the benchmark run.
+cargo check --offline --manifest-path kbench/Cargo.toml
 
 echo "== static invariants (krb-lint) =="
 # S001-S005 (secrecy, including the flow-aware cross-function taint),

@@ -418,9 +418,9 @@ fn session_counts(config: &ProtocolConfig, sessions: usize) -> Vec<[u64; 4]> {
 /// growing buffer or map (a B-tree split, a ring buffer's growth),
 /// which lands on different sessions as the tree changes.
 const SESSION: Table = &[
-    ("v4", &[64, 91, 55, 14]),
-    ("v5_draft3", &[68, 96, 59, 26]),
-    ("hardened", &[221, 124, 78, 35]),
+    ("v4", &[62, 85, 50, 12]),
+    ("v5_draft3", &[66, 90, 54, 24]),
+    ("hardened", &[219, 118, 73, 33]),
 ];
 
 #[test]

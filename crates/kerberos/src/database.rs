@@ -103,11 +103,20 @@ impl KdcDatabase {
         Ok(())
     }
 
-    /// Iterates all principals (the attacker's "Kerberos equivalent of
-    /// /etc/passwd is public" enumeration surface is names, not keys —
-    /// this accessor exists for the KDC and tests, not the wire).
-    pub fn principals(&self) -> impl Iterator<Item = &Principal> {
-        self.entries.keys()
+    /// Iterates all principals with their entries, in principal order
+    /// (the attacker's "Kerberos equivalent of /etc/passwd is public"
+    /// enumeration surface is names, not keys — this accessor exists
+    /// for the KDC and tests, not the wire).
+    pub fn entries(&self) -> impl Iterator<Item = (&Principal, &DbEntry)> {
+        self.entries.iter()
+    }
+
+    /// The `krbtgt` entries — the realm's TGS and every inter-realm
+    /// key — in principal order. `Principal` orders by name first, so
+    /// they are one contiguous range, whatever the database's size; the
+    /// TGS of the empty realm is the least principal named `krbtgt`.
+    pub fn tgs_entries(&self) -> impl Iterator<Item = (&Principal, &DbEntry)> {
+        self.entries.range(Principal::tgs("")..).take_while(|(p, _)| p.is_tgs())
     }
 }
 
@@ -315,8 +324,7 @@ mod tests {
             sharded.add_user(&name, &bulk_password(&name));
         }
         // Every flat lookup agrees with the routed sharded lookup.
-        for p in flat.principals() {
-            let a = flat.lookup(p).unwrap();
+        for (p, a) in flat.entries() {
             let b = sharded.lookup(p).unwrap();
             assert_eq!(a.key, b.key, "{p}");
             assert_eq!(a.kvno, b.kvno, "{p}");
@@ -351,6 +359,26 @@ mod tests {
                 assert_eq!(s, shard_for_parts(&p.name, &p.instance, &p.realm, shards));
             }
         }
+    }
+
+    #[test]
+    fn tgs_entries_are_the_krbtgt_range() {
+        let mut db = KdcDatabase::new("LOCAL");
+        let key = DesKey::from_u64(5).with_odd_parity();
+        for name in ["krbtgs", "krbtgt0", "krbtgt_", "aardvark", "zed", "krb"] {
+            db.add_user(name, "pw");
+        }
+        db.add_service("krbtgs", "host", key);
+        db.add_service("krbtgt0", "host", key);
+        let local = db.add_tgs(key);
+        let remote = db.add_cross_realm("REMOTE", key);
+        let east = db.add_cross_realm("EAST", key);
+        let got: Vec<&Principal> = db.tgs_entries().map(|(p, _)| p).collect();
+        assert_eq!(got, [&east, &local, &remote]);
+        let want: Vec<&Principal> =
+            db.entries().map(|(p, _)| p).filter(|p| p.is_tgs()).collect();
+        assert_eq!(got, want);
+        assert_eq!(KdcDatabase::new("EMPTY").tgs_entries().count(), 0);
     }
 
     #[test]

@@ -483,11 +483,10 @@ impl Kdc {
         }
         // Cross-realm: a remote TGS sealed this with a shared inter-realm
         // key, stored locally as krbtgt.<remote>@<this-realm>. Try every
-        // inter-realm entry.
-        for p in self.db.principals().filter(|p| p.is_tgs()).cloned().collect::<Vec<_>>() {
-            let Ok(entry) = self.db.lookup(&p) else { continue };
-            let key = entry.key;
-            if let Ok(t) = Ticket::unseal(self.config.codec, self.config.ticket_layer, &key, sealed) {
+        // inter-realm entry: the sealed ticket names no server in the
+        // clear to pick the key by.
+        for (_, entry) in self.db.tgs_entries() {
+            if let Ok(t) = Ticket::unseal(self.config.codec, self.config.ticket_layer, &entry.key, sealed) {
                 return Ok(t);
             }
         }
@@ -502,10 +501,8 @@ impl Kdc {
         if let Ok(t) = self.unseal_tgt(sealed) {
             return Ok(t);
         }
-        for p in self.db.principals().cloned().collect::<Vec<_>>() {
-            let Ok(entry) = self.db.lookup(&p) else { continue };
-            let key = entry.key;
-            if let Ok(t) = Ticket::unseal(self.config.codec, self.config.ticket_layer, &key, sealed) {
+        for (_, entry) in self.db.entries() {
+            if let Ok(t) = Ticket::unseal(self.config.codec, self.config.ticket_layer, &entry.key, sealed) {
                 return Ok(t);
             }
         }

@@ -9,8 +9,11 @@
 //! counters / gauges / sim-time histograms keyed by `(name, scope)`.
 //!
 //! Determinism contract: the crate never reads wall-clock time, never
-//! consumes randomness, and stores everything in `BTreeMap`s — two runs
-//! of the same seeded scenario produce byte-identical [`jsonl`] exports.
+//! consumes the simulation's randomness, and renders every output in a
+//! fixed order — two runs of the same seeded scenario produce
+//! byte-identical [`jsonl`] exports and metrics snapshots. The one
+//! hashed store, the metrics registry's scope maps, is keyed per process
+//! but only probed, or read into the sorted snapshot.
 //! Secrecy contract: events carry redacted key fingerprints only; the
 //! krb-lint rule S004 forbids secret-typed values in emission arguments.
 //!
@@ -27,6 +30,7 @@
 pub mod event;
 pub mod jsonl;
 pub mod metrics;
+mod names;
 pub mod narrate;
 mod ring;
 pub mod tracer;

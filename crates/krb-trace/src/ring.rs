@@ -22,10 +22,12 @@
 //!
 //! The leading `len` counts the bytes after itself; `kind` is the
 //! [`EventKind`] discriminant; `name` indexes the ring's table of field
-//! names, interned in first-use order, so equal runs encode equal bytes.
+//! names, interned by content in first-use order ([`NameSlots`]), so
+//! equal runs encode equal bytes.
 
 use crate::event::{Event, EventKind, Value, ValueRef};
-use std::collections::{BTreeMap, VecDeque};
+use crate::names::NameSlots;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 const TAG_U64: u8 = 0;
@@ -33,24 +35,13 @@ const TAG_BOOL: u8 = 1;
 const TAG_STR: u8 = 2;
 const TAG_BYTES: u8 = 3;
 
-/// Slots in the address-keyed name cache: 2^7, matching the 57-bit
-/// shift in [`Ring::intern`]. A campus run passes ~25 distinct name
-/// addresses; once every slot is taken, new names skip the cache.
-const NAME_CACHE: usize = 128;
-
 #[derive(Debug, Default)]
 pub(crate) struct Ring {
     bytes: VecDeque<u8>,
     records: usize,
+    /// Field names by table index, which is the name's slot.
     names: Vec<&'static str>,
-    index: BTreeMap<&'static str, u64>,
-    /// Field names are `&'static str`, and a call site passes the same
-    /// literal every time, so a name's (address, length) finds its index
-    /// without a string comparison. A miss falls back to `index`; the
-    /// cache never decides an index, so records do not depend on
-    /// addresses. Allocated on first use: services hold placeholder
-    /// tracers that never record.
-    cache: Vec<(usize, usize, u64)>,
+    slots: NameSlots,
     /// Reused encoding buffer: a record is written here, then copied
     /// behind its length prefix.
     scratch: Vec<u8>,
@@ -117,36 +108,11 @@ impl Ring {
     /// The name table index of `name`, assigning the next one on first
     /// use.
     fn intern(&mut self, name: &'static str) -> u64 {
-        if self.cache.is_empty() {
-            self.cache = vec![(0, 0, 0); NAME_CACHE];
-        }
-        let key = (name.as_ptr() as usize, name.len());
-        // Fibonacci hashing spreads literals that sit a few bytes apart;
-        // linear probing finds the key or the first free slot.
-        let mut slot = ((key.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
-        let mut free = None;
-        for _ in 0..NAME_CACHE {
-            let Some(&(addr, len, idx)) = self.cache.get(slot) else {
-                break;
-            };
-            if (addr, len) == key {
-                return idx;
-            }
-            if addr == 0 {
-                free = Some(slot);
-                break;
-            }
-            slot = (slot + 1) % NAME_CACHE;
-        }
-        let next = self.names.len() as u64;
-        let idx = *self.index.entry(name).or_insert(next);
-        if idx == next {
+        let idx = self.slots.slot(name);
+        if idx == self.names.len() {
             self.names.push(name);
         }
-        if let Some(entry) = free.and_then(|slot| self.cache.get_mut(slot)) {
-            *entry = (key.0, key.1, idx);
-        }
-        idx
+        idx as u64
     }
 
     /// Drops the oldest record; false when the ring is empty.

@@ -35,11 +35,9 @@ struct Core {
     capacity: usize,
     next_seq: u64,
     next_span: u64,
-    /// Stack of currently-open spans; the top is the parent of new
-    /// events and spans.
-    stack: Vec<SpanId>,
-    /// Open span id -> (name, begin sim-time).
-    open: BTreeMap<SpanId, (&'static str, u64)>,
+    /// Open spans as (id, name, begin sim-time), innermost last: the
+    /// top is the parent of new events and spans.
+    open: Vec<(SpanId, &'static str, u64)>,
     metrics: Metrics,
     /// Per-subscriber delivery buffers. Events land here in `push`,
     /// *before* the ring considers eviction, so a subscriber that
@@ -57,8 +55,7 @@ impl Default for Core {
             capacity: DEFAULT_CAPACITY,
             next_seq: 0,
             next_span: 1,
-            stack: Vec::new(),
-            open: BTreeMap::new(),
+            open: Vec::new(),
             metrics: Metrics::default(),
             subs: BTreeMap::new(),
             next_sub: 1,
@@ -90,7 +87,7 @@ impl Core {
 
     /// The innermost open span, the parent of new events and spans.
     fn current_span(&self) -> SpanId {
-        self.stack.last().copied().unwrap_or(0)
+        self.open.last().map_or(0, |s| s.0)
     }
 
     /// Evicts oldest-first until at most `keep` events remain.
@@ -210,8 +207,7 @@ impl Tracer {
         let id = c.next_span;
         c.next_span += 1;
         let parent = c.current_span();
-        c.open.insert(id, (name, at_us));
-        c.stack.push(id);
+        c.open.push((id, name, at_us));
         let head = [("name", ValueRef::Str(name)), ("parent", ValueRef::U64(parent))];
         c.push(at_us, id, EventKind::SpanBegin, head.into_iter().chain(fields));
         id
@@ -222,10 +218,10 @@ impl Tracer {
     /// `scope`.  Closing an unknown/already-closed span is a no-op.
     pub fn end_span(&self, id: SpanId, at_us: u64, scope: &str) {
         let mut c = self.core();
-        let Some((name, begin_us)) = c.open.remove(&id) else {
+        let Some(at) = c.open.iter().rposition(|s| s.0 == id) else {
             return;
         };
-        c.stack.retain(|&s| s != id);
+        let (_, name, begin_us) = c.open.remove(at);
         let dur_us = at_us.saturating_sub(begin_us);
         c.metrics.observe_span(name, scope, dur_us);
         let fields = [("name", ValueRef::Str(name)), ("dur_us", ValueRef::U64(dur_us))];

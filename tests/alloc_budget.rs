@@ -479,8 +479,9 @@ const SERVICES: Table = &[
     ("trace emit, full ring", &[0]),
     ("trace emit_ref, full ring", &[0]),
     ("counter bump, existing key", &[0]),
+    ("counter bump, second scope under a known name", &[1]),
     ("span end, known name", &[0]),
-    ("ids poll, one campus session", &[14]),
+    ("ids poll, one campus session", &[16]),
     ("gateway admission, AS-REQ", &[8]),
 ];
 
@@ -540,11 +541,15 @@ fn services_budget() {
     });
     actual.push(("trace emit_ref, full ring", vec![n]));
 
-    // A bump of a counter that already exists: the registry compares
-    // the name and scope and copies neither.
+    // A bump of a counter that already exists: the registry finds the
+    // name's slot and the scope and copies neither.
     tracer.counter("net.datagrams", "kerberos.ATHENA.MIT.EDU", 1);
     let (n, ()) = allocs(|| tracer.counter("net.datagrams", "kerberos.ATHENA.MIT.EDU", 1));
     actual.push(("counter bump, existing key", vec![n]));
+
+    // A scope new under that name: the registry copies the scope once.
+    let (n, ()) = allocs(|| tracer.counter("net.datagrams", "echo", 1));
+    actual.push(("counter bump, second scope under a known name", vec![n]));
 
     // Closing a span whose duration histogram already exists, into the
     // full ring.
@@ -554,7 +559,10 @@ fn services_budget() {
     let (n, ()) = allocs(|| tracer.end_span(span, 15, "pat"));
     actual.push(("span end, known name", vec![n]));
 
-    // One default-engine IDS poll over a captured v5_draft3 session.
+    // One default-engine IDS poll over a captured v5_draft3 session. Its
+    // `ids.events` bump is the first metric on a fresh tracer, so the
+    // count includes the registry's first-use setup: the name cache, the
+    // name index, the slot vector, the scope table and the scope's copy.
     let mut campus = Campus::new(&ProtocolConfig::v5_draft3());
     campus.session();
     campus.net.tracer().clear();
